@@ -13,8 +13,6 @@ import sys
 
 import numpy as np
 
-from . import harness
-from .divergence import QuadratureSpec
 from .errors import ThreshlabError
 from .harness import (
     ExperimentConfig,

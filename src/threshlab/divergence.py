@@ -1,15 +1,19 @@
 """Relative entropy and total variation between density pairs.
 
-Integration is adaptive Simpson with a per-panel Richardson error estimate.
-The crossing point of each pair and any recorded breakpoints (bump support
-edges) are inserted as mandatory panel boundaries, because the integrand's
-derivative jumps there.
+Integration is level-wise adaptive Simpson with a per-panel Richardson error
+estimate.  Integrands take a float64 array and return an array of the same
+shape; each refinement level evaluates the integrand once, on the new points
+of every panel still open.  The crossing point of each pair and any recorded
+breakpoints (bump support edges) are inserted as mandatory panel boundaries,
+because the integrand's derivative jumps there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfiniteEntropy, QuadratureNotConverged
 from .model import DensityPair
@@ -19,11 +23,13 @@ __all__ = [
     "relative_entropy",
     "total_variation",
     "adaptive_simpson",
-    "integrate_field",
 ]
 
 _P_FLOOR = 1e-30  # 0 * log 0 := 0 below this mass
 _P_MASS = 1e-12   # p above this while q below _P_FLOOR => infinite entropy
+# Past this many open panels at one depth the integrand is not converging;
+# splitting further would only double the work and memory per level.
+_MAX_OPEN_PANELS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -39,37 +45,18 @@ class QuadratureSpec:
             raise ValueError("panels and max_depth must be positive")
 
 
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    err = (left + right - whole) / 15.0
-    if abs(err) <= tol:
-        return left + right + err, abs(err)
-    if depth >= max_depth:
-        raise QuadratureNotConverged(
-            f"max depth {max_depth} hit on [{a}, {b}], error estimate {err:.3e}"
-        )
-    li, le = _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, max_depth)
-    ri, re = _adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, max_depth)
-    return li + ri, le + re
-
-
 def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
                      breakpoints=()) -> tuple:
-    """Integrate scalar f on [a, b]; returns (value, error_estimate).
+    """Integrate f on [a, b]; returns (value, error_estimate).
 
-    Interior breakpoints become hard panel boundaries; each base panel is
-    then refined recursively until the Richardson estimate meets the
-    (length-proportional) share of spec.tol.
+    f maps a float64 array to an array of the same shape.  Interior
+    breakpoints become hard panel boundaries, and each piece between them is
+    cut into spec.panels base panels.  All open panels are then halved level
+    by level, with one call of f per level on the quarter points of every
+    open panel.  A panel is accepted once |left + right - whole| / 15 meets
+    its share of spec.tol, which is proportional to its length.  Raises
+    QuadratureNotConverged past spec.max_depth, on a non-finite error
+    estimate, or when more than _MAX_OPEN_PANELS panels are open at once.
     """
     if b <= a:
         return 0.0, 0.0
@@ -79,23 +66,52 @@ def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
         w = (hi - lo) / spec.panels
         edges.extend(lo + i * w for i in range(spec.panels))
     edges.append(b)
-    total = 0.0
-    err = 0.0
-    span = b - a
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
-        whole = _simpson(fa, fm, fb, hi - lo)
-        tol = spec.tol * (hi - lo) / span
-        v, e = _adapt(f, lo, hi, fa, fm, fb, whole, tol, 0, spec.max_depth)
-        total += v
-        err += e
-    return total, err
-
-
-def integrate_field(field, a: float, b: float, spec: QuadratureSpec,
-                    breakpoints=()) -> float:
-    val, _ = adaptive_simpson(lambda x: float(field.val(x)), a, b, spec, breakpoints)
-    return val
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    mid = 0.5 * (lo + hi)
+    flo, fmid, fhi = np.split(f(np.concatenate((lo, mid, hi))), 3)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    tol = spec.tol * (hi - lo) / (b - a)
+    values, errors = [], []
+    for depth in range(spec.max_depth + 1):
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = np.split(f(np.concatenate((lm, rm))), 2)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        err = (left + right - whole) / 15.0
+        finite = np.isfinite(err)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise QuadratureNotConverged(
+                f"non-finite error estimate on [{lo[i]}, {hi[i]}]"
+            )
+        done = np.abs(err) <= tol
+        values.append(left[done] + right[done] + err[done])
+        errors.append(np.abs(err[done]))
+        if done.all():
+            return (math.fsum(np.concatenate(values)),
+                    math.fsum(np.concatenate(errors)))
+        open_ = ~done
+        if depth == spec.max_depth:
+            i = int(np.argmax(open_))
+            raise QuadratureNotConverged(
+                f"max depth {spec.max_depth} hit on [{lo[i]}, {hi[i]}], "
+                f"error estimate {err[i]:.3e}"
+            )
+        n_open = 2 * int(np.count_nonzero(open_))
+        if n_open > _MAX_OPEN_PANELS:
+            raise QuadratureNotConverged(
+                f"{n_open} panels open at depth {depth + 1}, "
+                f"over the limit {_MAX_OPEN_PANELS}"
+            )
+        # each open panel splits into [lo, mid] and [mid, hi]
+        lo, mid, hi = (np.concatenate((lo[open_], mid[open_])),
+                       np.concatenate((lm[open_], rm[open_])),
+                       np.concatenate((mid[open_], hi[open_])))
+        flo, fmid, fhi = (np.concatenate((flo[open_], fmid[open_])),
+                          np.concatenate((flm[open_], frm[open_])),
+                          np.concatenate((fmid[open_], fhi[open_])))
+        whole = np.concatenate((left[open_], right[open_]))
+        tol = 0.5 * np.concatenate((tol[open_], tol[open_]))
 
 
 def _pair_breakpoints(P: DensityPair, Q: DensityPair):
@@ -109,17 +125,19 @@ def relative_entropy(P: DensityPair, Q: DensityPair,
     total = 0.0
     for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
         def integrand(x, fP=fP, fQ=fQ):
-            p = float(fP.val(x))
-            if p <= _P_FLOOR:
-                return 0.0
-            q = float(fQ.val(x))
-            if q < _P_FLOOR:
-                if p > _P_MASS:
-                    raise InfiniteEntropy(
-                        f"f_Q vanishes at x={x} while f_P={p:.3e}"
-                    )
-                return 0.0
-            return p * math.log(p / q)
+            p, q = fP.val(x), fQ.val(x)
+            live = p > _P_FLOOR  # 0 log 0 := 0 elsewhere
+            dead = live & (q < _P_FLOOR)
+            infinite = dead & (p > _P_MASS)
+            if infinite.any():
+                i = int(np.argmax(infinite))
+                raise InfiniteEntropy(
+                    f"f_Q vanishes at x={x[i]} while f_P={p[i]:.3e}"
+                )
+            ok = live & ~dead
+            out = np.zeros_like(p)
+            out[ok] = p[ok] * np.log(p[ok] / q[ok])
+            return out
 
         val, _ = adaptive_simpson(integrand, 0.0, 1.0, spec, bps)
         total += val
@@ -133,7 +151,7 @@ def total_variation(P: DensityPair, Q: DensityPair,
     total = 0.0
     for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
         val, _ = adaptive_simpson(
-            lambda x, fP=fP, fQ=fQ: abs(float(fP.val(x)) - float(fQ.val(x))),
+            lambda x, fP=fP, fQ=fQ: np.abs(fP.val(x) - fQ.val(x)),
             0.0, 1.0, spec, bps,
         )
         total += val

@@ -4,7 +4,6 @@ sample-split combination, and the deterministic clock counterexample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,7 +9,6 @@ vectorized over numpy arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,13 +196,6 @@ class BumpComposite(Field):
     def der(self, x):
         x = np.asarray(x, dtype=float)
         return self.profile.der((x - self.center) / self.eps)
-
-
-def grid_sup(f: Field, lo: float, hi: float, n: int = 10001, derivative: bool = False) -> float:
-    """Max of |f| (or |f'|) over an n-point uniform grid on [lo, hi]."""
-    x = np.linspace(lo, hi, n)
-    v = f.der(x) if derivative else f.val(x)
-    return float(np.max(np.abs(v)))
 
 
 def check_derivative(f: Field, lo: float = 0.0, hi: float = 1.0, n: int = 101,

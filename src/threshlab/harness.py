@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,8 +8,7 @@ family h_a(x) = +1 iff x >= a.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,7 +95,7 @@ class DensityPair:
 
     def validate(self) -> dict:
         """Run every class-membership invariant; returns name -> (ok, detail)."""
-        from .divergence import QuadratureSpec, integrate_field
+        from .divergence import QuadratureSpec, adaptive_simpson
 
         report = {}
         x = np.linspace(0.0, 1.0, _NONNEG_GRID)
@@ -114,23 +113,17 @@ class DensityPair:
                 check_derivative(f, avoid=self.breakpoints),
                 "symbolic vs central differences, 101 points, step 1e-5",
             )
-        spec = QuadratureSpec(tol=1e-10)
-        total = integrate_field(self.fplus, 0.0, 1.0, spec, self.breakpoints) + \
-            integrate_field(self.fminus, 0.0, 1.0, spec, self.breakpoints)
+        total, _ = adaptive_simpson(self.fsum, 0.0, 1.0,
+                                    QuadratureSpec(tol=1e-10), self.breakpoints)
         report["normalization"] = (
             abs(total - 1.0) <= 1e-8,
             f"integral of f+ + f- = {total!r}",
         )
-        try:
-            a = _solve_threshold(self)
-            report["single_transversal_crossing"] = (True, f"a = {a!r}")
-        except (NoCrossing, MultipleCrossings, NotTransversal) as exc:
-            report["single_transversal_crossing"] = (False, str(exc))
+        # construction raises unless there is one transversal crossing
+        report["single_transversal_crossing"] = (
+            True, f"a = {self.threshold!r}",
+        )
         return report
-
-    @property
-    def is_valid(self) -> bool:
-        return all(ok for ok, _ in self.validate().values())
 
 
 def _solve_threshold(P: DensityPair) -> float:
@@ -264,5 +257,5 @@ def model_from_config(cfg: dict) -> DensityPair:
         pair = builtin_model(family)
     name = cfg.get("model.name")
     if name:
-        object.__setattr__(pair, "name", str(name))
+        pair = replace(pair, name=str(name))
     return pair

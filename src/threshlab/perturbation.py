@@ -63,10 +63,8 @@ class BumpProfile:
                 return False
             if abs(float(self.value.der(e))) > 1e-9:
                 return False
-        q, _ = adaptive_simpson(
-            lambda t: float(self.value.val(t)) ** 2, -r, r,
-            QuadratureSpec(tol=1e-12),
-        )
+        q, _ = adaptive_simpson(lambda t: self.value.val(t) ** 2, -r, r,
+                                QuadratureSpec(tol=1e-12))
         return abs(q - self.l2sq) <= max(tol, 1e-10)
 
 

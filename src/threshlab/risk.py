@@ -42,12 +42,8 @@ def prediction_error(P: DensityPair, alpha: float,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
     """L_P(alpha) = integral of f+ on [0, alpha] plus f- on [alpha, 1]."""
     alpha = _clamp(alpha)
-    left, _ = adaptive_simpson(
-        lambda x: float(P.fplus.val(x)), 0.0, alpha, spec, P.breakpoints
-    )
-    right, _ = adaptive_simpson(
-        lambda x: float(P.fminus.val(x)), alpha, 1.0, spec, P.breakpoints
-    )
+    left, _ = adaptive_simpson(P.fplus.val, 0.0, alpha, spec, P.breakpoints)
+    right, _ = adaptive_simpson(P.fminus.val, alpha, 1.0, spec, P.breakpoints)
     return left + right
 
 
@@ -57,9 +53,7 @@ def excess_risk(P: DensityPair, alpha: float,
     alpha = _clamp(alpha)
     a = P.threshold
     lo, hi = min(a, alpha), max(a, alpha)
-    val, _ = adaptive_simpson(
-        lambda x: float(P.margin(x)), lo, hi, spec, P.breakpoints
-    )
+    val, _ = adaptive_simpson(P.margin, lo, hi, spec, P.breakpoints)
     return val if alpha >= a else -val
 
 

@@ -8,7 +8,7 @@ trial_index), so results are byte-identical regardless of worker schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,5 @@ def cdf_sigma(P: DensityPair, x: float,
     for draw)."""
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    val, _ = adaptive_simpson(
-        lambda t: float(P.fsum(t)), 0.0, x, spec, P.breakpoints
-    )
+    val, _ = adaptive_simpson(P.fsum, 0.0, x, spec, P.breakpoints)
     return val

@@ -47,7 +47,7 @@ def test_criterion_01_perturbation_identities():
             q = perturb(P, bump, eps)
             worst_sum = max(worst_sum,
                             float(np.max(np.abs(q.fsum(x) - P.fsum(x)))))
-            total, _ = adaptive_simpson(lambda t: float(q.fsum(t)), 0.0, 1.0,
+            total, _ = adaptive_simpson(q.fsum, 0.0, 1.0,
                                         QuadratureSpec(tol=1e-10),
                                         q.breakpoints)
             worst_mass = max(worst_mass, abs(total - 1.0))

@@ -1,6 +1,7 @@
 """Relative entropy and total variation against analytic and Riemann oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from threshlab.divergence import (
 from threshlab.errors import InfiniteEntropy, QuadratureNotConverged
 from threshlab.expr import Affine, BumpComposite, Const, CosSquaredProfile
 from threshlab.model import DensityPair, builtin_models
-from threshlab.perturbation import default_bump, perturb
+from threshlab.perturbation import build_certificate, default_bump, perturb
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +45,124 @@ def test_adaptive_simpson_respects_breakpoints():
 
 def test_adaptive_simpson_raises_at_max_depth():
     with pytest.raises(QuadratureNotConverged):
-        adaptive_simpson(lambda x: math.sqrt(abs(x - 0.37)), 0.0, 1.0,
+        adaptive_simpson(lambda x: np.sqrt(abs(x - 0.37)), 0.0, 1.0,
                          QuadratureSpec(tol=1e-15, max_depth=3))
+
+
+# --- reference: recursive scalar Simpson -----------------------------------------
+# Same panels, midpoints, tolerance shares and acceptance rule as the engine,
+# one integrand point per call, depth first.
+
+
+def _ref_simpson(fa, fm, fb, h):
+    return h / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _ref_adapt(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = _ref_simpson(fa, flm, fm, m - a)
+    right = _ref_simpson(fm, frm, fb, b - m)
+    err = (left + right - whole) / 15.0
+    if abs(err) <= tol:
+        return left + right + err, abs(err)
+    if depth >= max_depth:
+        raise QuadratureNotConverged(f"max depth {max_depth} hit on [{a}, {b}]")
+    li, le = _ref_adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1,
+                        max_depth)
+    ri, re = _ref_adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1,
+                        max_depth)
+    return li + ri, le + re
+
+
+def reference_simpson(f, a, b, spec, breakpoints=()):
+    knots = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    edges = []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        w = (hi - lo) / spec.panels
+        edges.extend(lo + i * w for i in range(spec.panels))
+    edges.append(b)
+    total = 0.0
+    err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
+        whole = _ref_simpson(fa, fm, fb, hi - lo)
+        tol = spec.tol * (hi - lo) / (b - a)
+        v, e = _ref_adapt(f, lo, hi, fa, fm, fb, whole, tol, 0, spec.max_depth)
+        total += v
+        err += e
+    return total, err
+
+
+class Counted:
+    """Wraps an array integrand; counts calls and integrand points."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.points = f, 0, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        self.points += np.size(x)
+        return self.f(x)
+
+
+def _certified_q_integrands():
+    cases = []
+    for P in builtin_models():
+        q = build_certificate(P, default_bump(), 0.05, 10_000).q
+        for label, f in (("fplus", q.fplus.val), ("fminus", q.fminus.val),
+                         ("fsum", q.fsum)):
+            cases.append(pytest.param(f, q.breakpoints,
+                                      id=f"{P.name}-certified-q-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("f, breakpoints", [
+    pytest.param(lambda x: x ** 3, (), id="cube"),
+    pytest.param(lambda x: abs(x - 1.0 / 3.0), (1.0 / 3.0,), id="kink"),
+    *_certified_q_integrands(),
+])
+def test_adaptive_simpson_matches_recursive_reference(f, breakpoints):
+    spec = QuadratureSpec()
+    new, ref = Counted(f), Counted(f)
+    val, err = adaptive_simpson(new, 0.0, 1.0, spec, breakpoints)
+    ref_val, ref_err = reference_simpson(ref, 0.0, 1.0, spec, breakpoints)
+    # float64 sums of at most 300 panel values, in a different order
+    assert abs(val - ref_val) <= 1e-14
+    assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-30)
+    assert new.points == ref.points
+    assert new.calls <= spec.max_depth + 2
+
+
+def test_adaptive_simpson_one_call_per_level():
+    # the kink at 0.37 is not a breakpoint, so refinement runs deep
+    spec = QuadratureSpec(tol=1e-8)
+    f = Counted(lambda x: np.abs(x - 0.37))
+    val, _ = adaptive_simpson(f, 0.0, 1.0, spec)
+    assert val == pytest.approx((0.37 ** 2 + 0.63 ** 2) / 2, abs=1e-8)
+    assert 3 <= f.calls <= spec.max_depth + 2
+    shallow = QuadratureSpec(tol=1e-15, max_depth=6)
+    g = Counted(lambda x: np.sqrt(np.abs(x - 0.37)))
+    with pytest.raises(QuadratureNotConverged):
+        adaptive_simpson(g, 0.0, 1.0, shallow)
+    assert g.calls == shallow.max_depth + 2
+
+
+@pytest.mark.parametrize("f, tol", [
+    pytest.param(lambda x: np.where(x < 0.5, x, np.nan), 1e-10, id="nan"),
+    pytest.param(lambda x: np.exp(x) * np.sin(7 * x) + 1 / (1.1 + x), 1e-19,
+                 id="tol-below-rounding"),
+])
+def test_adaptive_simpson_fails_fast(f, tol):
+    counted = Counted(f)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureNotConverged):
+        adaptive_simpson(counted, 0.0, 1.0, QuadratureSpec(tol=tol))
+    assert time.perf_counter() - start < 5.0
+    assert counted.points < 1_000_000
 
 
 # --- relative entropy ----------------------------------------------------------

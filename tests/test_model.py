@@ -247,6 +247,17 @@ def test_model_from_config_builtin_and_perturbed():
     assert q.threshold == pytest.approx(0.4779, abs=5e-4)
 
 
+def test_model_from_config_name_relabels_only():
+    cfg = {"model.family": "perturbed", "model.base": "curved",
+           "model.eps": "0.08"}
+    plain = model_from_config(cfg)
+    named = model_from_config({**cfg, "model.name": "my-bump"})
+    assert named.name == "my-bump"
+    assert plain.name != "my-bump"
+    assert named.threshold == plain.threshold
+    assert named.breakpoints == plain.breakpoints
+
+
 def test_cos_profile_is_c1_at_boundary():
     phi = CosSquaredProfile(radius=1.0)
     for e in (-1.0, 1.0):

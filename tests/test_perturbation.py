@@ -35,7 +35,7 @@ def bump():
 def narrow_bump(radius: float) -> BumpProfile:
     """Same cos^2 shape squeezed onto [-radius, radius]."""
     q, _ = adaptive_simpson(
-        lambda t: float(CosSquaredProfile(radius).val(t)) ** 2,
+        lambda t: CosSquaredProfile(radius).val(t) ** 2,
         -radius, radius, QuadratureSpec(tol=1e-13),
     )
     return BumpProfile(value=CosSquaredProfile(radius), support_radius=radius,
@@ -50,7 +50,7 @@ def test_default_bump_peak(bump):
 
 
 def test_default_bump_l2_norm_quadrature_oracle(bump):
-    q, _ = adaptive_simpson(lambda t: float(bump.value.val(t)) ** 2,
+    q, _ = adaptive_simpson(lambda t: bump.value.val(t) ** 2,
                             -1.0, 1.0, QuadratureSpec(tol=1e-13))
     assert q == pytest.approx(0.75, abs=1e-11)
     assert bump.l2sq == pytest.approx(q, abs=1e-10)
@@ -113,7 +113,7 @@ def test_perturbed_normalization(models, bump, eps):
     spec = QuadratureSpec(tol=1e-10)
     for P in models.values():
         q = perturb(P, bump, eps)
-        total, _ = adaptive_simpson(lambda x: float(q.fsum(x)), 0.0, 1.0,
+        total, _ = adaptive_simpson(q.fsum, 0.0, 1.0,
                                     spec, q.breakpoints)
         assert total == pytest.approx(1.0, abs=1e-8)
 
