@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: validate, sample, rates, certificate, disjunction, risk-curve.
-Global flags --seed, --trials, --out, --config apply where meaningful; a
-flat `key = value` config file supplies defaults that explicit flags
-override.
+Global flags --seed, --trials, --out, --config apply where meaningful.
+Precedence is flag > config > built-in default: a flat `key = value`
+config file (keys `seed`, `trials`, `model.*`) supplies values that
+explicit flags override.  Exit codes: 0 ok, 1 failed verdict (`validate`
+FAIL, `disjunction` VIOLATED), 2 error, reported as `error: ...`.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ from .harness import (
     rate_sweep,
 )
 from .lowerbound import disjunction_check
-from .model import builtin_model, model_from_config
+from .model import resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk, prediction_error, quadratic_bounds
 from .sampling import SeedPolicy, draw
 
 
-def _resolve_model(args, cfg):
-    name = getattr(args, "model", None) or cfg.get("model.family")
-    if name is None:
-        raise ThreshlabError("no model given (flag or config model.family)")
-    if cfg.get("model.family") and (name == cfg.get("model.family")
-                                    or getattr(args, "model", None) is None):
-        if cfg["model.family"] == "perturbed" or "model.eps" in cfg:
-            return model_from_config(cfg)
-    return builtin_model(name)
+def _setting(flag, cfg, key, default) -> int:
+    """An integer setting: the flag if given, else the config, else default."""
+    return flag if flag is not None else int(cfg.get(key, default))
 
 
 def _int_list(text):
@@ -51,8 +47,10 @@ def _float_list(text):
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="threshlab")
-    p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed (u64); default: config seed, else 0")
+    p.add_argument("--trials", type=int, default=None,
+                   help="default: config trials, else 200")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", default=None, help="flat key = value file")
     sub = p.add_subparsers(dest="command", required=True)
@@ -61,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("model", nargs="?", default=None)
 
     s = sub.add_parser("sample", help="emit CSV x,y sample")
-    s.add_argument("--model", default="canonical")
+    s.add_argument("--model", default=None)
     s.add_argument("--n", type=int, default=1000)
 
     r = sub.add_parser("rates", help="Monte Carlo rate sweep")
-    r.add_argument("--model", default="canonical")
+    r.add_argument("--model", default=None)
     r.add_argument("--estimators", default="erm,twostep:L=4")
     r.add_argument("--n-list", type=_int_list, default=(250, 1000, 4000))
     r.add_argument("--L-list", type=_float_list, default=())
@@ -73,36 +71,39 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--svg", action="store_true")
 
     c = sub.add_parser("certificate", help="two-point certificate sweep")
-    c.add_argument("--model", default="canonical")
+    c.add_argument("--model", default=None)
     c.add_argument("--delta", type=float, default=0.05)
     c.add_argument("--n-list", type=_int_list,
                    default=(10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6))
 
     d = sub.add_parser("disjunction", help="two-point estimator disjunction")
-    d.add_argument("--model", default="canonical")
+    d.add_argument("--model", default=None)
     d.add_argument("--delta", type=float, default=0.05)
     d.add_argument("--n", type=int, default=10 ** 4)
     d.add_argument("--estimator", default="erm")
 
     k = sub.add_parser("risk-curve", help="loss and excess-risk curve CSV")
-    k.add_argument("--model", default="canonical")
+    k.add_argument("--model", default=None)
     k.add_argument("--points", type=int, default=101)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = parse_config(args.config) if args.config else {}
     try:
+        cfg = parse_config(args.config) if args.config else {}
         return _dispatch(args, cfg)
-    except ThreshlabError as exc:
+    except (ThreshlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def _dispatch(args, cfg) -> int:
+    model = resolve_model(args.model, cfg)
+    seed = _setting(args.seed, cfg, "seed", 0)
+    trials = _setting(args.trials, cfg, "trials", 200)
+
     if args.command == "validate":
-        model = _resolve_model(args, cfg)
         report = model.validate()
         ok_all = True
         for name, (ok, detail) in report.items():
@@ -111,9 +112,8 @@ def _dispatch(args, cfg) -> int:
         return 0 if ok_all else 1
 
     if args.command == "sample":
-        model = _resolve_model(args, cfg)
-        sample = draw(model, args.n, SeedPolicy(args.seed))
-        print(f"# model={model.name} n={args.n} seed={args.seed}")
+        sample = draw(model, args.n, SeedPolicy(seed))
+        print(f"# model={model.name} n={args.n} seed={seed}")
         print("x,y")
         for x, y in zip(sample.x, sample.y):
             print(f"{fmt_float(x)},{int(y)}")
@@ -121,12 +121,12 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "rates":
         exp = ExperimentConfig(
-            model=args.model,
+            model=model,
             estimators=tuple(args.estimators.split(",")),
             n_list=args.n_list,
             L_list=args.L_list,
-            trials=int(cfg.get("trials", args.trials)),
-            master_seed=int(cfg.get("seed", args.seed)),
+            trials=trials,
+            master_seed=seed,
             workers=args.workers,
         )
         report = rate_sweep(exp)
@@ -136,7 +136,6 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "certificate":
-        model = _resolve_model(args, cfg)
         rows, n0 = certificate_sweep(model, default_bump(), args.delta,
                                      args.n_list)
         for line in certificate_csv_lines(rows):
@@ -145,11 +144,10 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "disjunction":
-        model = _resolve_model(args, cfg)
         cert = build_certificate(model, default_bump(), args.delta, args.n)
         rep = disjunction_check(
             model, cert.q, args.n, cert.beta, args.delta,
-            args.estimator, args.trials, SeedPolicy(args.seed),
+            args.estimator, trials, SeedPolicy(seed),
         )
         print(f"chi-mean under P: {rep.chi_mean_p:.4f} +- {rep.stderr_p:.4f}")
         print(f"chi-mean under Q: {rep.chi_mean_q:.4f} +- {rep.stderr_q:.4f}")
@@ -158,7 +156,6 @@ def _dispatch(args, cfg) -> int:
         return 0 if rep.holds else 1
 
     if args.command == "risk-curve":
-        model = _resolve_model(args, cfg)
         qb = quadratic_bounds(model)
         a = model.threshold
         print("alpha,loss,excess,lower_bound,upper_bound")

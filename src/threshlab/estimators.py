@@ -1,5 +1,7 @@
 """Threshold estimators: ERM, windowed-regression refinement, the two-step
-sample-split combination, and the deterministic clock counterexample.
+sample-split combination, and the deterministic clock counterexample; plus
+the Monte Carlo trial kernel that both the rate sweep and the two-point
+disjunction run.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SampleTooSmall
-from .sampling import LabeledSample
+from .model import DensityPair
+from .sampling import LabeledSample, SeedPolicy, draw
 
 __all__ = [
     "ErmResult",
@@ -19,6 +22,7 @@ __all__ = [
     "two_step",
     "clock_estimator",
     "resolve_estimator",
+    "estimate_trials",
 ]
 
 
@@ -156,3 +160,12 @@ def resolve_estimator(name: str):
             L = float(value)
         return lambda s: two_step(s, L)
     raise ValueError(f"unknown estimator {name!r}")
+
+
+def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
+                    trial_indices) -> np.ndarray:
+    """The trial kernel: for each trial index t, the estimate of a(P) from
+    draw(P, n, SeedPolicy(master_seed, t)), in the order given."""
+    est = resolve_estimator(estimator)
+    return np.array([est(draw(P, n, SeedPolicy(master_seed, t)))
+                     for t in trial_indices], dtype=float)

@@ -3,28 +3,27 @@
 Runs (estimator, n) sweeps with pre-assigned per-trial seeds, aggregates
 quantiles of the critically scaled error n^(1/3)|a_hat - a(P)| and the mean
 of n^(2/3) times the excess risk, and writes CSV / JSON / SVG reports.
-Aggregation is keyed by trial index, so the report is byte-identical for
-any worker count.
+Trial blocks come back in submission order, so the report is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
+import itertools
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .divergence import QuadratureSpec
 from .errors import ThreshlabError
-from .estimators import resolve_estimator
-from .model import DensityPair, builtin_model, model_from_config
+from .estimators import estimate_trials, resolve_estimator
+from .model import DensityPair, resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk
-from .sampling import SeedPolicy, draw
 
 __all__ = [
     "ExperimentConfig",
@@ -42,7 +41,7 @@ CERT_HEADER = "model,delta,n,eps,c1,beta,nH,budget,sep,entropy_ok,sep_ok"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: str
+    model: str | DensityPair  # a built-in name or a pair; see resolve_model
     estimators: tuple
     n_list: tuple
     trials: int
@@ -100,13 +99,6 @@ def _estimator_L(name: str) -> float | None:
     return None
 
 
-@functools.lru_cache(maxsize=32)
-def _build_model(spec) -> DensityPair:
-    if isinstance(spec, str):
-        return builtin_model(spec)
-    return model_from_config(dict(spec))
-
-
 def _stream_master(master_seed: int, est_name: str, n: int) -> int:
     """64-bit stream seed, a pure function of (master_seed, estimator, n)."""
     est_id = zlib.crc32(est_name.encode())
@@ -115,42 +107,39 @@ def _stream_master(master_seed: int, est_name: str, n: int) -> int:
     return int(hi) << 32 | int(lo)
 
 
-def _trial_block(model_spec, est_name, n, start, stop, stream_master):
-    """Run trials [start, stop); returns [(trial, abs_err, excess)]."""
-    P = _build_model(model_spec)
-    est = resolve_estimator(est_name)
+def _trial_block(P, est_name, n, start, stop, stream_master):
+    """Score trials [start, stop) of one stream; returns [(abs_err, excess)]."""
     a = P.threshold
-    out = []
-    for trial in range(start, stop):
-        s = draw(P, n, SeedPolicy(stream_master, trial))
-        a_hat = est(s)
-        out.append((trial, abs(a_hat - a), excess_risk(P, a_hat)))
-    return out
+    a_hats = estimate_trials(P, est_name, n, stream_master, range(start, stop))
+    return [(abs(a_hat - a), excess_risk(P, a_hat)) for a_hat in a_hats.tolist()]
 
 
-def rate_sweep(cfg: ExperimentConfig, model_spec=None) -> RateReport:
-    """One RateRow per (estimator, n); deterministic given master_seed."""
-    spec = model_spec if model_spec is not None else cfg.model
-    rows = []
-    with _executor(cfg.workers) as pool:
-        for est_name in cfg.expanded_estimators():
-            for n in cfg.n_list:
-                stream = _stream_master(cfg.master_seed, est_name, n)
-                results = [None] * cfg.trials
-                chunk = max(1, math.ceil(cfg.trials / max(cfg.workers * 4, 1)))
-                futures = [
-                    pool.submit(_trial_block, spec, est_name, n,
-                                lo, min(lo + chunk, cfg.trials), stream)
-                    for lo in range(0, cfg.trials, chunk)
-                ]
-                for fut in concurrent.futures.as_completed(futures):
-                    for trial, err, excess in fut.result():
-                        results[trial] = (err, excess)
-                rows.append(_aggregate(cfg, est_name, n, results))
-    return RateReport(rows=tuple(rows))
+def rate_sweep(cfg: ExperimentConfig) -> RateReport:
+    """One RateRow per (estimator, n); deterministic given master_seed.
+
+    Every (estimator, n, block) job goes out in one ordered map, so the rows
+    do not depend on the worker count or on which block finishes first.
+    """
+    P = resolve_model(cfg.model)
+    cells = [(est, n) for est in cfg.expanded_estimators() for n in cfg.n_list]
+    chunk = max(1, math.ceil(cfg.trials / max(cfg.workers * 4, 1)))
+    starts = range(0, cfg.trials, chunk)
+    jobs = [(P, est, n, lo, min(lo + chunk, cfg.trials),
+             _stream_master(cfg.master_seed, est, n))
+            for est, n in cells for lo in starts]
+    if cfg.workers <= 1:
+        blocks = iter(list(itertools.starmap(_trial_block, jobs)))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+            blocks = iter(list(pool.map(_trial_block, *zip(*jobs))))
+    return RateReport(rows=tuple(
+        _aggregate(cfg, P.name, est, n,
+                   [r for _ in starts for r in next(blocks)])
+        for est, n in cells))
 
 
-def _aggregate(cfg: ExperimentConfig, est_name: str, n: int, results) -> RateRow:
+def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
+               results) -> RateRow:
     scale = n ** (1.0 / 3.0)
     if results:
         errs = np.array([r[0] for r in results]) * scale
@@ -161,32 +150,10 @@ def _aggregate(cfg: ExperimentConfig, est_name: str, n: int, results) -> RateRow
     else:
         q50 = q90 = q95 = mean_excess = float("nan")
     return RateRow(
-        model=cfg.model, estimator=est_name, L=_estimator_L(est_name),
+        model=model_name, estimator=est_name, L=_estimator_L(est_name),
         n=n, trials=cfg.trials, q50=q50, q90=q90, q95=q95,
         mean_excess_scaled=mean_excess, seed=cfg.master_seed,
     )
-
-
-class _SerialExecutor:
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        try:
-            fut.set_result(fn(*args))
-        except BaseException as exc:  # propagate via the future, like a pool
-            fut.set_exception(exc)
-        return fut
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _executor(workers: int):
-    if workers <= 1:
-        return _SerialExecutor()
-    return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
 
 # --- certificate sweep --------------------------------------------------------
@@ -309,20 +276,17 @@ def emit_outputs(report: RateReport, out_dir, basename: str = "rates",
         raise ThreshlabError(f"cannot write {csv_path}: {exc}") from exc
     paths.append(csv_path)
     json_path = os.path.join(out_dir, f"{basename}.json")
+    # the statistics of a zero-trial row are NaN; JSON has no NaN, so null
     payload = {
         "schema_version": 1,
         "rows": [
-            {
-                "model": r.model, "estimator": r.estimator, "L": r.L,
-                "n": r.n, "trials": r.trials, "q50": r.q50, "q90": r.q90,
-                "q95": r.q95, "mean_excess_scaled": r.mean_excess_scaled,
-                "seed": r.seed,
-            }
+            {k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in asdict(r).items()}
             for r in report.rows
         ],
     }
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths.append(json_path)
     if svg:

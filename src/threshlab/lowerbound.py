@@ -16,9 +16,9 @@ import numpy as np
 
 from .divergence import QuadratureSpec, relative_entropy
 from .errors import InvalidModel, PremiseFails, TooLarge
-from .estimators import resolve_estimator
+from .estimators import estimate_trials
 from .model import DensityPair
-from .sampling import SeedPolicy, draw
+from .sampling import SeedPolicy
 
 __all__ = [
     "FiniteModel",
@@ -110,6 +110,8 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     1 - delta.  Monte Carlo estimates both means and asserts the conclusion
     up to 3 binomial standard errors.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not (0.0 < delta < 1.0 / 11.0):
         raise PremiseFails("delta", f"delta={delta} outside (0, 1/11)")
     h = relative_entropy(P, Q, spec)
@@ -121,18 +123,15 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
             "separation",
             f"beta|a(P)-a(Q)|={beta * abs(P.threshold - Q.threshold):.4g} <= 4",
         )
-    est = resolve_estimator(estimator)
     chi = CutoffProfile()
     means = []
     errs = []
-    for index, pair in enumerate((P, Q)):
-        hits = 0
-        for t in range(trials):
-            s = draw(pair, n, SeedPolicy(seed.master_seed,
-                                         seed.trial_index + 2 * t + index))
-            a_hat = est(s)
-            hits += int(chi(beta * (a_hat - pair.threshold)))
-        mean = hits / trials
+    for k, pair in enumerate((P, Q)):
+        # P takes the even offsets from seed.trial_index, Q the odd ones
+        first = seed.trial_index + k
+        a_hats = estimate_trials(pair, estimator, n, seed.master_seed,
+                                 range(first, first + 2 * trials, 2))
+        mean = float(np.sum(chi(beta * (a_hats - pair.threshold)))) / trials
         means.append(mean)
         errs.append(math.sqrt(max(mean * (1.0 - mean), 1e-12) / trials))
     holds = (means[0] < 1.0 - delta + 3.0 * errs[0]) or \

@@ -9,6 +9,7 @@ family h_a(x) = +1 iff x >= a.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,15 @@ __all__ = [
     "builtin_models",
     "builtin_model",
     "model_from_config",
+    "resolve_model",
 ]
 
 _BRACKET_GRID = 2048
 _BISECT_WIDTH = 1e-14
 _METRIC_GRID = 10_001
 _NONNEG_GRID = 10_001
+_ENVELOPE_GRID = 4097
+_ENVELOPE_FACTOR = 1.01
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class DensityPair:
     """A model: evaluable sub-densities with exact derivatives.
 
     Immutable after construction; the threshold is solved once in
-    __post_init__, never lazily mutated, so instances are safe to share
-    across parallel workers.
+    __post_init__, and the derived sampling envelope is cached on first use,
+    so instances are safe to share across parallel workers.
 
     `breakpoints` lists interior x values where some derivative of the
     densities jumps (e.g. bump support edges); quadrature inserts them as
@@ -80,6 +84,19 @@ class DensityPair:
 
     def margin_der(self, x):
         return self.fplus.der(x) - self.fminus.der(x)
+
+    @cached_property
+    def envelope(self) -> float:
+        """Constant rejection-sampling envelope, computed once per pair.
+
+        It must dominate the X-marginal f_sigma = f+ + f-, not the per-label
+        sup: grid sup plus a Lipschitz pad, then a safety factor.
+        """
+        grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
+        fg = self.fsum(grid)
+        dg = np.abs(self.fplus.der(grid)) + np.abs(self.fminus.der(grid))
+        pad = 0.5 * float(grid[1] - grid[0]) * float(np.max(dg))
+        return _ENVELOPE_FACTOR * (float(np.max(fg)) + pad)
 
     def sup_density(self, pad: bool = True) -> float:
         """Certified sup of f over both labels: grid sup plus Lipschitz pad."""
@@ -241,8 +258,9 @@ def builtin_models() -> list:
 def model_from_config(cfg: dict) -> DensityPair:
     """Build a model from flat `key = value` config entries.
 
-    Recognized keys: model.family (required), model.name (optional label),
-    and for family "perturbed": model.base, model.eps.
+    Recognized keys: model.family (required), model.name (optional label;
+    no comma or line break, since it lands in unquoted CSV cells), and for
+    family "perturbed": model.base, model.eps.
     """
     family = cfg.get("model.family")
     if family is None:
@@ -255,7 +273,22 @@ def model_from_config(cfg: dict) -> DensityPair:
         pair = perturb(base, default_bump(), eps)
     else:
         pair = builtin_model(family)
-    name = cfg.get("model.name")
+    name = str(cfg.get("model.name") or "")
+    if any(c in name for c in ",\r\n"):
+        raise InvalidModel(f"model.name {name!r} contains a comma or line break")
     if name:
-        pair = replace(pair, name=str(name))
+        pair = replace(pair, name=name)
     return pair
+
+
+def resolve_model(model=None, cfg=None) -> DensityPair:
+    """The one model-resolution path, in order of precedence: `model` (a
+    DensityPair, or a built-in name such as the --model flag), else the
+    config's model.* keys, else "canonical"."""
+    if isinstance(model, DensityPair):
+        return model
+    if model is not None:
+        return builtin_model(model)
+    if cfg and any(key.startswith("model.") for key in cfg):
+        return model_from_config(cfg)
+    return builtin_model("canonical")

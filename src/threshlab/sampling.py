@@ -1,9 +1,10 @@
 """Reproducible i.i.d. sampling of labeled points from a density pair.
 
-X is drawn by rejection against a constant envelope slightly above the
-certified sup of f_sigma; the label is +1 with probability rho^+(X).  Each
-trial owns a private generator stream derived from (master_seed,
-trial_index), so results are byte-identical regardless of worker schedule.
+X is drawn by rejection against the pair's constant envelope, slightly
+above the certified sup of f_sigma; the label is +1 with probability
+rho^+(X).  Each trial owns a private generator stream derived from
+(master_seed, trial_index), so results are byte-identical regardless of
+worker schedule.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .errors import EnvelopeViolated
 from .model import DensityPair
 
 __all__ = ["SeedPolicy", "LabeledSample", "draw", "cdf_sigma"]
-
-_ENVELOPE_FACTOR = 1.01
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,7 @@ def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = seed.rng()
-    # the envelope must dominate the X-marginal f_sigma = f+ + f-, not the
-    # per-label sup: grid sup plus a Lipschitz pad, then a safety factor
-    grid = np.linspace(0.0, 1.0, 4097)
-    fg = P.fsum(grid)
-    dg = np.abs(P.fplus.der(grid)) + np.abs(P.fminus.der(grid))
-    pad = 0.5 * float(grid[1] - grid[0]) * float(np.max(dg))
-    envelope = _ENVELOPE_FACTOR * (float(np.max(fg)) + pad)
+    envelope = P.envelope
     xs = []
     got = 0
     while got < n:

@@ -9,11 +9,13 @@ from threshlab.errors import SampleTooSmall
 from threshlab.estimators import (
     clock_estimator,
     erm_threshold,
+    estimate_trials,
     refine_local,
     resolve_estimator,
     two_step,
 )
-from threshlab.sampling import LabeledSample
+from threshlab.model import builtin_model
+from threshlab.sampling import LabeledSample, SeedPolicy, draw
 
 
 def sample_of(points):
@@ -264,3 +266,11 @@ def test_resolve_names():
         resolve_estimator("nearest-neighbor")
     with pytest.raises(ValueError):
         resolve_estimator("twostep:M=1")
+
+
+def test_estimate_trials_matches_per_trial_loop():
+    P = builtin_model("tilted")
+    trials = [5, 0, 17]
+    got = estimate_trials(P, "twostep:L=2", 128, 42, trials)
+    want = [two_step(draw(P, 128, SeedPolicy(42, t)), 2.0) for t in trials]
+    assert got.tolist() == want

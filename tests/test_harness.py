@@ -20,7 +20,7 @@ from threshlab.harness import (
     rate_sweep,
     rates_csv_lines,
 )
-from threshlab.model import builtin_model
+from threshlab.model import builtin_model, model_from_config
 from threshlab.perturbation import default_bump
 
 
@@ -229,7 +229,7 @@ def test_cli_risk_curve(capsys):
 
 
 def test_cli_reports_errors_cleanly(capsys):
-    assert cli.main(["validate", "mystery"]) == 1
+    assert cli.main(["validate", "mystery"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -240,3 +240,114 @@ def test_cli_config_file_supplies_model(tmp_path, capsys):
     assert cli.main(["--config", str(path), "validate"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
+
+
+# --- CLI precedence: flag > config > built-in default --------------------------------
+
+PERTURBED_CFG = ("model.family = perturbed\nmodel.base = canonical\n"
+                 "model.eps = 0.1\n")
+
+
+def _write_cfg(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _perturbed_cfg(tmp_path):
+    """Path of a perturbed-model config and the name of its model."""
+    path = _write_cfg(tmp_path, PERTURBED_CFG)
+    name = model_from_config(parse_config(path)).name
+    assert name != "canonical"
+    return path, name
+
+
+def test_cli_config_model_reaches_risk_curve(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "model.family = tilted\n")
+    assert cli.main(["--config", cfg, "risk-curve", "--points", "1001"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+    alpha_min = min(rows, key=lambda r: abs(r[2]))[0]
+    assert alpha_min == pytest.approx((5 ** 0.5 - 1) / 2, abs=6e-4)
+
+
+def test_cli_config_model_reaches_sample(tmp_path, capsys):
+    cfg, name = _perturbed_cfg(tmp_path)
+    assert cli.main(["--config", cfg, "sample", "--n", "3"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"# model={name} n=3 seed=0"
+
+
+def test_cli_config_model_labels_rates_rows(tmp_path, capsys):
+    cfg, name = _perturbed_cfg(tmp_path)
+    assert cli.main(["--config", cfg, "--trials", "2", "--out", str(tmp_path),
+                     "rates", "--estimators", "erm", "--n-list", "64"]) == 0
+    rows = (tmp_path / "rates.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [name]
+
+
+def test_cli_flags_beat_config(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "trials = 3\nseed = 9\n")
+    assert cli.main(["--config", cfg, "--trials", "7", "--seed", "1",
+                     "--out", str(tmp_path), "rates", "--estimators", "erm",
+                     "--n-list", "64"]) == 0
+    cols = RATES_HEADER.split(",")
+    lines = (tmp_path / "rates.csv").read_text().splitlines()
+    row = dict(zip(cols, lines[1].split(",")))
+    assert (row["trials"], row["seed"]) == ("7", "1")
+
+
+def test_cli_config_seed_reaches_sample(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "seed = 9\n")
+    assert cli.main(["--config", cfg, "sample", "--n", "5"]) == 0
+    from_config = capsys.readouterr().out
+    assert from_config.startswith("# model=canonical n=5 seed=9\n")
+    assert cli.main(["--seed", "9", "sample", "--n", "5"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_cli_config_seed_and_trials_reach_disjunction(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "trials = 50\nseed = 3\n")
+    assert cli.main(["--config", cfg, "disjunction"]) == 0
+    from_config = capsys.readouterr().out
+    outputs = []
+    for flags in (["--trials", "50", "--seed", "3"],
+                  ["--trials", "50", "--seed", "0"],
+                  ["--trials", "25", "--seed", "3"]):
+        assert cli.main(flags + ["disjunction"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == from_config
+    assert from_config not in outputs[1:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--estimators", "kernel"],
+    ["disjunction", "--n", "1000", "--estimator", "kernel"],
+    ["rates", "--n-list", "2"],
+    ["--trials", "-1", "rates"],
+    ["--trials", "0", "disjunction"],
+    ["sample", "--n", "-1"],
+    ["--config", "no-such-file.cfg", "validate"],
+])
+def test_cli_user_input_errors_exit_2(argv, tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_rates_zero_trials_writes_valid_json(tmp_path, capsys):
+    assert cli.main(["--trials", "0", "--out", str(tmp_path), "rates",
+                     "--estimators", "erm", "--n-list", "64"]) == 0
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    payload = json.loads((tmp_path / "rates.json").read_text(),
+                         parse_constant=reject)
+    row = payload["rows"][0]
+    assert row["trials"] == 0
+    assert [row[k] for k in ("q50", "q90", "q95", "mean_excess_scaled")] \
+        == [None] * 4
+    csv_row = (tmp_path / "rates.csv").read_text().splitlines()[1]
+    assert csv_row == "canonical,erm,,64,0,nan,nan,nan,nan,0"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from threshlab.errors import InvalidModel, PremiseFails, TooLarge
+from threshlab.estimators import erm_threshold
 from threshlab.lowerbound import (
     CutoffProfile,
     DisjunctionReport,
@@ -18,7 +19,7 @@ from threshlab.lowerbound import (
 )
 from threshlab.model import builtin_model
 from threshlab.perturbation import build_certificate, default_bump
-from threshlab.sampling import SeedPolicy
+from threshlab.sampling import SeedPolicy, draw
 
 
 def random_finite_model(rng, k):
@@ -135,6 +136,29 @@ def test_disjunction_clock_small_run(cert):
     rep = disjunction_check(P, cert.q, 10 ** 4, cert.beta, 0.05,
                             "clock", trials=20, seed=SeedPolicy(314))
     assert rep.holds
+
+
+def test_disjunction_streams_match_per_trial_reference(cert):
+    """Trial t runs on stream trial_index + 2t under P and + 2t + 1 under Q."""
+    P, Q, n, trials = builtin_model("canonical"), cert.q, 10 ** 4, 50
+    rep = disjunction_check(P, Q, n, cert.beta, 0.05, "erm", trials=trials,
+                            seed=SeedPolicy(3, 4))
+    chi = CutoffProfile()
+    means = []
+    for k, pair in enumerate((P, Q)):
+        hits = 0
+        for t in range(trials):
+            s = draw(pair, n, SeedPolicy(3, 4 + 2 * t + k))
+            hits += int(chi(cert.beta * (erm_threshold(s).a_hat - pair.threshold)))
+        means.append(hits / trials)
+    assert (rep.chi_mean_p, rep.chi_mean_q) == tuple(means)
+    assert any(means)  # some hits, so the streams are actually compared
+
+
+def test_disjunction_rejects_no_trials(cert):
+    with pytest.raises(ValueError):
+        disjunction_check(builtin_model("canonical"), cert.q, 10 ** 4,
+                          cert.beta, 0.05, "erm", trials=0, seed=SeedPolicy(0))
 
 
 def test_disjunction_delta_guard(cert):

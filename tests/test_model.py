@@ -258,6 +258,12 @@ def test_model_from_config_name_relabels_only():
     assert named.breakpoints == plain.breakpoints
 
 
+@pytest.mark.parametrize("name", ["a,b", "a\nb"])
+def test_model_from_config_rejects_csv_breaking_name(name):
+    with pytest.raises(InvalidModel):
+        model_from_config({"model.family": "canonical", "model.name": name})
+
+
 def test_cos_profile_is_c1_at_boundary():
     phi = CosSquaredProfile(radius=1.0)
     for e in (-1.0, 1.0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from threshlab.model import builtin_models
+from threshlab.model import builtin_model, builtin_models
 from threshlab.sampling import LabeledSample, SeedPolicy, cdf_sigma, draw
 
 
@@ -84,6 +84,19 @@ def test_reproducibility_bytewise(models):
     b = draw(models["tilted"], 4096, SeedPolicy(99, 3))
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
+
+
+def test_envelope_is_computed_once_per_pair(monkeypatch):
+    P = builtin_model("tilted")
+    calls = []
+    for cls in {type(P.fplus), type(P.fminus)}:
+        monkeypatch.setattr(cls, "der", lambda self, x, _der=cls.der:
+                            calls.append(1) or _der(self, x))
+    draw(P, 100, SeedPolicy(1))
+    first = len(calls)
+    draw(P, 100, SeedPolicy(2))
+    assert first > 0
+    assert len(calls) == first
 
 
 def test_streams_differ_across_trials(models):
