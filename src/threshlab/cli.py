@@ -159,9 +159,9 @@ def _dispatch(args, cfg) -> int:
         qb = quadratic_bounds(model)
         a = model.threshold
         print("alpha,loss,excess,lower_bound,upper_bound")
-        for alpha in np.linspace(0.0, 1.0, args.points):
+        alphas = np.linspace(0.0, 1.0, args.points)
+        for alpha, excess in zip(alphas, excess_risk(model, alphas).tolist()):
             loss = prediction_error(model, float(alpha))
-            excess = excess_risk(model, float(alpha))
             lower = min(qb.c9, qb.c3 * (a - alpha) ** 2)
             upper = qb.c10 * (a - alpha) ** 2
             print(",".join(fmt_float(v) for v in

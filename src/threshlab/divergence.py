@@ -23,6 +23,7 @@ __all__ = [
     "relative_entropy",
     "total_variation",
     "adaptive_simpson",
+    "integrate_intervals",
 ]
 
 _P_FLOOR = 1e-30  # 0 * log 0 := 0 below this mass
@@ -49,32 +50,63 @@ def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
                      breakpoints=()) -> tuple:
     """Integrate f on [a, b]; returns (value, error_estimate).
 
-    f maps a float64 array to an array of the same shape.  Interior
-    breakpoints become hard panel boundaries, and each piece between them is
-    cut into spec.panels base panels.  All open panels are then halved level
-    by level, with one call of f per level on the quarter points of every
-    open panel.  A panel is accepted once |left + right - whole| / 15 meets
-    its share of spec.tol, which is proportional to its length.  Raises
-    QuadratureNotConverged past spec.max_depth, on a non-finite error
-    estimate, or when more than _MAX_OPEN_PANELS panels are open at once.
+    The one-interval case of integrate_intervals, which documents the rule.
     """
-    if b <= a:
-        return 0.0, 0.0
-    knots = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    edges = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        w = (hi - lo) / spec.panels
-        edges.extend(lo + i * w for i in range(spec.panels))
-    edges.append(b)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    values, errors = integrate_intervals(f, [a], [b], spec, breakpoints)
+    return float(values[0]), float(errors[0])
+
+
+def integrate_intervals(f, a, b, spec: QuadratureSpec,
+                        breakpoints=()) -> tuple:
+    """Integrate f on each [a[k], b[k]]; returns (values, error_estimates),
+    two arrays of the same length as a.
+
+    f maps a float64 array to an array of the same shape.  An interval with
+    b[k] <= a[k] integrates to 0.  Interior breakpoints become hard panel
+    boundaries, and each piece between them is cut into spec.panels base
+    panels.  All open panels of all intervals are then halved level by
+    level, with one call of f per level on the quarter points of every open
+    panel.  A panel is accepted once |left + right - whole| / 15 meets its
+    share of spec.tol, which is proportional to its length within its
+    interval.  Each interval's accepted panels are summed on their own with
+    math.fsum, so every value and error estimate equals that of a separate
+    call on that interval alone.  Raises QuadratureNotConverged past
+    spec.max_depth, on a non-finite error estimate, or when one interval
+    has more than _MAX_OPEN_PANELS panels open at once.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    count = len(a)
+    # pieces between consecutive knots, interval by interval
+    plo, phi, powner = [], [], []
+    for k, (ak, bk) in enumerate(zip(a.tolist(), b.tolist())):
+        if bk <= ak:
+            continue
+        knots = sorted({ak, bk, *(p for p in breakpoints if ak < p < bk)})
+        plo += knots[:-1]
+        phi += knots[1:]
+        powner += [k] * (len(knots) - 1)
+    if not powner:
+        return np.zeros(count), np.zeros(count)
+    plo, phi, powner = np.array(plo), np.array(phi), np.array(powner)
+    # panel edges lo + i w of each piece; its last panel ends on its knot
+    w = (phi - plo) / spec.panels
+    edges = plo[:, None] + np.arange(spec.panels + 1) * w[:, None]
+    edges[:, -1] = phi
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    tol = (spec.tol * (edges[:, 1:] - edges[:, :-1])
+           / (b - a)[powner][:, None]).ravel()
+    owner = np.repeat(powner, spec.panels)
     mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = np.split(f(np.concatenate((lo, mid, hi))), 3)
+    m = len(lo)
+    fx = f(np.concatenate((lo, mid, hi)))
+    flo, fmid, fhi = fx[:m], fx[m:2 * m], fx[2 * m:]
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    tol = spec.tol * (hi - lo) / (b - a)
-    values, errors = [], []
+    values, errors, owners = [], [], []
     for depth in range(spec.max_depth + 1):
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = np.split(f(np.concatenate((lm, rm))), 2)
+        m = len(lo)
+        fx = f(np.concatenate((lm, rm)))
+        flm, frm = fx[:m], fx[m:]
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         err = (left + right - whole) / 15.0
@@ -87,9 +119,9 @@ def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
         done = np.abs(err) <= tol
         values.append(left[done] + right[done] + err[done])
         errors.append(np.abs(err[done]))
+        owners.append(owner[done])
         if done.all():
-            return (math.fsum(np.concatenate(values)),
-                    math.fsum(np.concatenate(errors)))
+            return _sum_by_owner(count, values, errors, owners)
         open_ = ~done
         if depth == spec.max_depth:
             i = int(np.argmax(open_))
@@ -98,6 +130,8 @@ def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
                 f"error estimate {err[i]:.3e}"
             )
         n_open = 2 * int(np.count_nonzero(open_))
+        if n_open > _MAX_OPEN_PANELS:  # then count them per interval
+            n_open = 2 * int(np.bincount(owner[open_]).max())
         if n_open > _MAX_OPEN_PANELS:
             raise QuadratureNotConverged(
                 f"{n_open} panels open at depth {depth + 1}, "
@@ -112,6 +146,23 @@ def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
                           np.concatenate((fmid[open_], fhi[open_])))
         whole = np.concatenate((left[open_], right[open_]))
         tol = 0.5 * np.concatenate((tol[open_], tol[open_]))
+        owner = np.concatenate((owner[open_], owner[open_]))
+
+
+def _sum_by_owner(count, values, errors, owners) -> tuple:
+    """math.fsum of the accepted panel values and errors of each interval."""
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    vals = np.concatenate(values)[order].tolist()
+    errs = np.concatenate(errors)[order].tolist()
+    out_v, out_e = np.zeros(count), np.zeros(count)
+    start = 0
+    for k, end in enumerate(ends):
+        out_v[k] = math.fsum(vals[start:end])
+        out_e[k] = math.fsum(errs[start:end])
+        start = end
+    return out_v, out_e
 
 
 def _pair_breakpoints(P: DensityPair, Q: DensityPair):

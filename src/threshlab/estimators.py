@@ -6,20 +6,23 @@ disjunction run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SampleTooSmall
 from .model import DensityPair
-from .sampling import LabeledSample, SeedPolicy, draw
+from .sampling import LabeledSample, SeedPolicy, draw_block, sub_blocks
 
 __all__ = [
     "ErmResult",
     "RefineResult",
     "erm_threshold",
+    "erm_block",
     "refine_local",
     "two_step",
+    "two_step_block",
     "clock_estimator",
     "resolve_estimator",
     "estimate_trials",
@@ -47,27 +50,58 @@ def erm_threshold(sample: LabeledSample) -> ErmResult:
 
     Candidates are {0, 1} plus the midpoints of consecutive distinct sorted
     abscissae; h_a(x) = +1 iff x >= a.  Empty sample returns a_hat = 0.
+    The one-row case of erm_block.
     """
-    n = len(sample)
+    a_hat, errors, count = erm_block(sample.x[None, :], sample.y[None, :])
+    return ErmResult(a_hat=float(a_hat[0]), min_errors=int(errors[0]),
+                     candidate_count=int(count[0]))
+
+
+def erm_block(x, y) -> tuple:
+    """erm_threshold on each row of (trials, n) arrays; returns the arrays
+    (a_hat, min_errors, candidate_count), one entry per row."""
+    x = np.asarray(x, dtype=float)
+    rows, n = x.shape
     if n == 0:
-        return ErmResult(a_hat=0.0, min_errors=0, candidate_count=2)
-    order = np.argsort(sample.x, kind="stable")
-    xs = sample.x[order]
-    ys = sample.y[order]
-    distinct = np.nonzero(np.diff(xs) > 0)[0]
-    mids = 0.5 * (xs[distinct] + xs[distinct + 1])
-    candidates = np.concatenate(([0.0], mids, [1.0]))
+        return (np.zeros(rows), np.zeros(rows, dtype=np.int64),
+                np.full(rows, 2))
+    # prefix counts are read only where the sorted abscissa changes, so the
+    # order inside a tie does not matter and the faster unstable sort will do
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    plus = np.take_along_axis(np.asarray(y) == 1, order, axis=1)
+    # candidate column j: 0 -> a = 0, n -> a = 1, and 0 < j < n -> the
+    # midpoint of sorted positions j - 1 and j, a candidate where they differ
+    distinct = xs[:, 1:] > xs[:, :-1]
+    candidates = np.empty((rows, n + 1))
+    candidates[:, 0], candidates[:, n] = 0.0, 1.0
+    mids = candidates[:, 1:n]
+    np.multiply(0.5, xs[:, :-1] + xs[:, 1:], out=mids)
+    # i = #{x < a}: j for a midpoint, unless it rounds down onto the smaller
+    # abscissa, which then starts the count at its first tie
+    i = np.empty((rows, n + 1), dtype=np.int64)
+    i[:, 0] = np.count_nonzero(xs < 0.0, axis=1)
+    i[:, 1:n] = np.arange(1, n)
+    i[:, n] = np.count_nonzero(xs < 1.0, axis=1)
+    low = distinct & (mids == xs[:, :-1])
+    if low.any():
+        starts = np.where(np.concatenate(
+            (np.ones((rows, 1), dtype=bool), distinct), axis=1),
+            np.arange(n), 0)
+        first_tie = np.maximum.accumulate(starts, axis=1)[:, :-1]
+        i[:, 1:n] = np.where(low, first_tie, i[:, 1:n])
     # errors(a) = #{x >= a, y = -1} + #{x < a, y = +1}; with i = #{x < a}:
     # errors = (plus among first i) + (minus among last n - i)
-    plus = (ys == 1).astype(np.int64)
-    plus_prefix = np.concatenate(([0], np.cumsum(plus)))
-    total_minus = n - plus_prefix[-1]
-    i = np.searchsorted(xs, candidates, side="left")
-    errors = plus_prefix[i] + (total_minus - (i - plus_prefix[i]))
-    best = int(np.min(errors))
-    a_hat = float(candidates[int(np.argmin(errors))])  # argmin -> smallest
-    return ErmResult(a_hat=a_hat, min_errors=best,
-                     candidate_count=len(candidates))
+    plus_prefix = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(plus, axis=1, out=plus_prefix[:, 1:])
+    total_minus = (n - plus_prefix[:, n])[:, None]
+    below = np.take_along_axis(plus_prefix, i, axis=1)
+    errors = below + (total_minus - (i - below))
+    errors[:, 1:n][~distinct] = n + 1  # not a candidate
+    best = np.argmin(errors, axis=1)  # first minimum -> smallest candidate
+    pick = np.arange(rows)
+    return (candidates[pick, best], errors[pick, best],
+            2 + np.count_nonzero(distinct, axis=1))
 
 
 _DET_FLOOR = 1e-30
@@ -96,12 +130,12 @@ def refine_local(sample: LabeledSample, a0: float, L: float) -> RefineResult:
     k = len(xt)
     fallback = RefineResult(a_hat=a0, window_count=k, fell_back=True,
                             b1=0.0, b2=0.0)
-    if k < 2 or np.min(xt) == np.max(xt):
+    if k < 2 or xt.min() == xt.max():
         return fallback
-    sx = float(np.sum(xt))
-    sxx = float(np.sum(xt * xt))
-    sy = float(np.sum(yw))
-    sxy = float(np.sum(xt * yw))
+    sx = float(xt.sum())
+    sxx = float((xt * xt).sum())
+    sy = float(yw.sum())
+    sxy = float((xt * yw).sum())
     det = sxx * k - sx * sx
     scale = max(sxx * k, sx * sx, 1e-300)
     if abs(det) < _DET_FLOOR * scale:
@@ -120,18 +154,26 @@ def two_step(sample: LabeledSample, L: float) -> float:
 
     m = floor(n/2); for odd n the last point is dropped.  The ERM output is
     nudged off the boundary into (0, 1) before refinement (0 -> 1/(2m),
-    1 -> 1 - 1/(2m)); the refinement window scale is L m^(-1/3).
+    1 -> 1 - 1/(2m)); the refinement window scale is L m^(-1/3).  The
+    one-row case of two_step_block.
     """
-    n = len(sample)
+    return float(two_step_block(sample.x[None, :], sample.y[None, :], L)[0])
+
+
+def two_step_block(x, y, L: float) -> np.ndarray:
+    """two_step on each row of (trials, n) arrays: ERM on the first halves
+    as one block, then refine_local row by row."""
+    n = np.shape(x)[1]
     if n < 2:
         raise SampleTooSmall(f"two_step needs n >= 2, got {n}")
     m = n // 2
-    a0 = erm_threshold(sample.subset(0, m)).a_hat
-    if a0 <= 0.0:
-        a0 = 1.0 / (2.0 * m)
-    elif a0 >= 1.0:
-        a0 = 1.0 - 1.0 / (2.0 * m)
-    return refine_local(sample.subset(m, 2 * m), a0, L).a_hat
+    a0 = erm_block(x[:, :m], y[:, :m])[0]
+    a0 = np.where(a0 <= 0.0, 1.0 / (2.0 * m),
+                  np.where(a0 >= 1.0, 1.0 - 1.0 / (2.0 * m), a0))
+    return np.array([
+        refine_local(LabeledSample(x[k, m:2 * m], y[k, m:2 * m], seed=0),
+                     start, L).a_hat
+        for k, start in enumerate(a0.tolist())], dtype=float)
 
 
 def clock_estimator(n: int) -> float:
@@ -145,27 +187,41 @@ def clock_estimator(n: int) -> float:
 def resolve_estimator(name: str):
     """CLI vocabulary -> callable(sample) -> float.
 
-    Names: "erm", "twostep:L=<v>", "clock".
+    Names: "erm", "clock", "twostep" (L = 1) and "twostep:L=<v>" with v a
+    finite number > 0; anything else raises ValueError.
     """
+    block = _block_estimator(name)
+    return lambda s: float(block(s.x[None, :], s.y[None, :])[0])
+
+
+def _block_estimator(name: str):
+    """The estimator `name` as a callable((trials, n) x, y) -> a_hat array."""
     if name == "erm":
-        return lambda s: erm_threshold(s).a_hat
+        return lambda x, y: erm_block(x, y)[0]
     if name == "clock":
-        return lambda s: clock_estimator(max(len(s), 1))
-    if name.startswith("twostep"):
+        return lambda x, y: np.full(len(x), clock_estimator(max(x.shape[1], 1)))
+    if name == "twostep":
         L = 1.0
-        if ":" in name:
-            key, _, value = name.partition(":")[2].partition("=")
-            if key != "L":
-                raise ValueError(f"unknown twostep option {key!r}")
-            L = float(value)
-        return lambda s: two_step(s, L)
-    raise ValueError(f"unknown estimator {name!r}")
+    elif name.startswith("twostep:L="):
+        try:
+            L = float(name[len("twostep:L="):])
+        except ValueError:
+            L = math.nan
+        if not (math.isfinite(L) and L > 0.0):
+            raise ValueError(f"estimator {name!r}: L must be a finite "
+                             "number > 0")
+    else:
+        raise ValueError(f"unknown estimator {name!r}; expected erm, clock, "
+                         "twostep or twostep:L=<v>")
+    return lambda x, y: two_step_block(x, y, L)
 
 
 def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
                     trial_indices) -> np.ndarray:
     """The trial kernel: for each trial index t, the estimate of a(P) from
-    draw(P, n, SeedPolicy(master_seed, t)), in the order given."""
-    est = resolve_estimator(estimator)
-    return np.array([est(draw(P, n, SeedPolicy(master_seed, t)))
-                     for t in trial_indices], dtype=float)
+    draw(P, n, SeedPolicy(master_seed, t)), in the order given.  Trials are
+    drawn and estimated a sub-block at a time (sampling.sub_blocks)."""
+    est = _block_estimator(estimator)
+    seeds = [SeedPolicy(master_seed, t) for t in trial_indices]
+    return np.concatenate([np.empty(0)] + [
+        est(*draw_block(P, n, block)) for block in sub_blocks(seeds, n)])

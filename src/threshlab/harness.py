@@ -111,7 +111,8 @@ def _trial_block(P, est_name, n, start, stop, stream_master):
     """Score trials [start, stop) of one stream; returns [(abs_err, excess)]."""
     a = P.threshold
     a_hats = estimate_trials(P, est_name, n, stream_master, range(start, stop))
-    return [(abs(a_hat - a), excess_risk(P, a_hat)) for a_hat in a_hats.tolist()]
+    return [(abs(a_hat - a), excess) for a_hat, excess in
+            zip(a_hats.tolist(), excess_risk(P, a_hats).tolist())]
 
 
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .divergence import QuadratureSpec, adaptive_simpson
+from .divergence import QuadratureSpec, adaptive_simpson, integrate_intervals
 from .errors import IntervalEscapes, NotMonotoneLocal
 from .model import DensityPair
 
@@ -47,14 +47,23 @@ def prediction_error(P: DensityPair, alpha: float,
     return left + right
 
 
-def excess_risk(P: DensityPair, alpha: float,
-                spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """L_P(alpha) - L_P(a(P)) = integral of m over [a(P), alpha]; nonnegative."""
-    alpha = _clamp(alpha)
+def excess_risk(P: DensityPair, alpha,
+                spec: QuadratureSpec = QuadratureSpec()):
+    """L_P(alpha) - L_P(a(P)) = integral of m over [a(P), alpha]; nonnegative.
+
+    alpha is a number or an array; an array takes one quadrature call for
+    all its entries and returns an array of the values the number would.
+    """
+    alphas = np.asarray(alpha, dtype=float)
+    if np.isnan(alphas).any():
+        raise ValueError("alpha must not be NaN")
+    alphas = np.minimum(np.maximum(alphas, 0.0), 1.0)  # as _clamp
     a = P.threshold
-    lo, hi = min(a, alpha), max(a, alpha)
-    val, _ = adaptive_simpson(P.margin, lo, hi, spec, P.breakpoints)
-    return val if alpha >= a else -val
+    flat = alphas.reshape(-1)
+    vals, _ = integrate_intervals(P.margin, np.minimum(a, flat),
+                                  np.maximum(a, flat), spec, P.breakpoints)
+    out = np.where(flat >= a, vals, -vals).reshape(alphas.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def default_eps_nbhd(P: DensityPair) -> float:

@@ -17,7 +17,13 @@ from .divergence import QuadratureSpec, adaptive_simpson
 from .errors import EnvelopeViolated
 from .model import DensityPair
 
-__all__ = ["SeedPolicy", "LabeledSample", "draw", "cdf_sigma"]
+__all__ = ["SeedPolicy", "LabeledSample", "draw", "draw_block", "sub_blocks",
+           "cdf_sigma"]
+
+# A block of trials draws its first-round proposals together, up to this many
+# uniforms; at n = 10^4 that is one trial, so per-point memory stays that of
+# a single draw.
+_MAX_BLOCK_UNIFORMS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -73,30 +79,62 @@ class LabeledSample:
 
 def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     """n i.i.d. copies of (X, Y) under P, fully deterministic given the seed."""
+    x, y = draw_block(P, n, [seed])
+    return LabeledSample(x=x[0], y=y[0], seed=seed.master_seed,
+                         model_name=P.name)
+
+
+def draw_block(P: DensityPair, n: int, seeds) -> tuple:
+    """Samples of n points for a list of seeds, as (x, y) arrays of shape
+    (len(seeds), n); row k is draw(P, n, seeds[k]).
+
+    Each seed's stream proposes max(2 * (n - got), 1024) uniform pairs per
+    round until it has n acceptances, then draws its labels.  The proposals
+    of one round are stacked, so f_sigma is evaluated once per round for all
+    seeds still short of n.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = seed.rng()
+    rngs = [seed.rng() for seed in seeds]
     envelope = P.envelope
-    xs = []
-    got = 0
-    while got < n:
-        batch = max(2 * (n - got), 1024)
-        u = rng.random((batch, 2))
+    parts = [[] for _ in rngs]
+    got = [0] * len(rngs)
+    short = list(range(len(rngs))) if n > 0 else []
+    while short:
+        sizes = [max(2 * (n - got[k]), 1024) for k in short]
+        ends = np.cumsum(sizes).tolist()
+        u = np.empty((ends[-1], 2))
+        for k, lo, hi in zip(short, [0, *ends], ends):
+            rngs[k].random(out=u[lo:hi])
         fx = P.fsum(u[:, 0])
         if np.any(fx > envelope):
             raise EnvelopeViolated(
                 f"{P.name}: f_sigma exceeds envelope {envelope}"
             )
         accept = u[:, 1] * envelope <= fx
-        xs.append(u[accept, 0])
-        got += int(np.count_nonzero(accept))
-    x = np.concatenate(xs)[:n] if xs else np.empty(0)
+        for k, lo, hi in zip(short, [0, *ends], ends):
+            parts[k].append(u[lo:hi, 0][accept[lo:hi]])
+            got[k] += len(parts[k][-1])
+        short = [k for k in short if got[k] < n]
+    x = np.empty((len(rngs), n))
+    for row, xs in zip(x, parts):
+        if xs:
+            row[:] = np.concatenate(xs)[:n]
     fsum = P.fsum(x)
     rho_plus = np.divide(P.fplus.val(x), fsum, out=np.zeros_like(fsum),
                          where=fsum > 0)
-    v = rng.random(n)
+    v = np.empty_like(x)
+    for rng, row in zip(rngs, v):
+        rng.random(out=row)
     y = np.where(v < rho_plus, 1, -1).astype(np.int8)
-    return LabeledSample(x=x, y=y, seed=seed.master_seed, model_name=P.name)
+    return x, y
+
+
+def sub_blocks(seeds, n: int) -> list:
+    """Consecutive runs of seeds whose first-round proposals at sample size
+    n hold at most _MAX_BLOCK_UNIFORMS uniforms, one seed at the least."""
+    size = max(1, _MAX_BLOCK_UNIFORMS // (2 * max(2 * n, 1024)))
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
 def cdf_sigma(P: DensityPair, x: float,

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from threshlab.divergence import (
+    _MAX_OPEN_PANELS,
     QuadratureSpec,
     adaptive_simpson,
+    integrate_intervals,
     relative_entropy,
     total_variation,
 )
@@ -163,6 +165,76 @@ def test_adaptive_simpson_fails_fast(f, tol):
         adaptive_simpson(counted, 0.0, 1.0, QuadratureSpec(tol=tol))
     assert time.perf_counter() - start < 5.0
     assert counted.points < 1_000_000
+
+
+# --- many intervals at once ------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _interval_cases():
+    """(integrand, breakpoints, threshold) for x^3, a kink, and the margin
+    and f_sigma of each built-in model's certified Q."""
+    cases = [pytest.param(lambda x: x ** 3, (), 0.5, id="cube"),
+             pytest.param(lambda x: np.abs(x - 1.0 / 3.0), (1.0 / 3.0,),
+                          1.0 / 3.0, id="kink")]
+    for P in builtin_models():
+        q = build_certificate(P, default_bump(), 0.05, 10_000).q
+        for label, f in (("margin", q.margin), ("fsum", q.fsum)):
+            cases.append(pytest.param(f, q.breakpoints, q.threshold,
+                                      id=f"{P.name}-certified-q-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("f, breakpoints, a", _interval_cases())
+def test_integrate_intervals_equals_one_call_per_interval(f, breakpoints, a):
+    # empty, reversed, tiny, whole-domain, breakpoint- and threshold-
+    # straddling intervals, and intervals that end on a breakpoint
+    ends = [0.0, 1.0, a, *breakpoints]
+    lo = [0.3, 0.7, 0.0, a - 1e-3, a - 0.2, a, 0.0, a + 1e-9, *ends, 0.25]
+    hi = [0.3, 0.2, 1.0, a + 1e-3, a + 0.2, 0.9, a, a, *ends[::-1], 0.75]
+    spec = QuadratureSpec()
+    counted = Counted(f)
+    values, errors = integrate_intervals(counted, lo, hi, spec, breakpoints)
+    one = [adaptive_simpson(f, l, h, spec, breakpoints) for l, h in zip(lo, hi)]
+    assert _bits(values) == _bits([v for v, _ in one])
+    assert _bits(errors) == _bits([e for _, e in one])
+    assert values[0] == errors[0] == values[1] == errors[1] == 0.0
+    assert counted.calls <= spec.max_depth + 2
+
+
+def test_integrate_intervals_empty_input_calls_nothing():
+    f = Counted(lambda x: x)
+    for lo, hi in (([], []), ([0.5, 0.9], [0.5, 0.1])):
+        values, errors = integrate_intervals(f, lo, hi, QuadratureSpec())
+        assert values.tolist() == errors.tolist() == [0.0] * len(lo)
+    assert f.calls == 0
+
+
+def test_integrate_intervals_raises_for_any_interval():
+    spec = QuadratureSpec()
+    nan_right = lambda x: np.where(x < 0.5, x, np.nan)
+    with pytest.raises(QuadratureNotConverged, match="non-finite"):
+        integrate_intervals(nan_right, [0.0, 0.1, 0.6], [0.2, 0.3, 0.9], spec)
+    with pytest.raises(QuadratureNotConverged, match="max depth"):
+        integrate_intervals(lambda x: np.sqrt(np.abs(x - 0.37)),
+                            [0.0, 0.5], [0.4, 1.0],
+                            QuadratureSpec(tol=1e-15, max_depth=3))
+    with pytest.raises(QuadratureNotConverged, match="over the limit"):
+        integrate_intervals(
+            lambda x: np.exp(x) * np.sin(7 * x) + 1 / (1.1 + x),
+            [0.5, 0.0], [0.6, 1.0], QuadratureSpec(tol=1e-19))
+
+
+def test_open_panel_limit_is_per_interval():
+    # each interval alone stays under the limit; together they exceed it
+    spec = QuadratureSpec(panels=_MAX_OPEN_PANELS // 4, tol=1e-300,
+                          max_depth=1)
+    f = lambda x: np.sin(1000.0 * x)
+    with pytest.raises(QuadratureNotConverged, match="max depth"):
+        integrate_intervals(f, [0.0, 0.5, 0.25], [0.5, 1.0, 0.75], spec)
 
 
 # --- relative entropy ----------------------------------------------------------

@@ -336,6 +336,25 @@ def test_cli_user_input_errors_exit_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", [
+    "twostepfoo", "twostep:L=nan", "twostep:L=inf", "twostep:L=-1",
+])
+def test_cli_rejects_malformed_estimator_before_any_work(name, tmp_path,
+                                                         capsys):
+    assert cli.main(["--out", str(tmp_path), "rates", "--workers", "2",
+                     "--estimators", f"erm,{name}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_rejects_nonpositive_L_list():
+    with pytest.raises(ValueError):
+        ExperimentConfig(model="canonical", estimators=("twostep",),
+                         n_list=(64,), trials=1, master_seed=0, L_list=(0.0,))
+
+
 def test_cli_rates_zero_trials_writes_valid_json(tmp_path, capsys):
     assert cli.main(["--trials", "0", "--out", str(tmp_path), "rates",
                      "--estimators", "erm", "--n-list", "64"]) == 0
