@@ -15,7 +15,6 @@ from .model import (
     LocalParams,
     builtin_model,
     builtin_models,
-    find_threshold,
     local_params,
     metric_d,
     posterior_rho,
@@ -39,7 +38,7 @@ __all__ = [
     "ThreshlabError",
     "clock_estimator", "erm_threshold", "refine_local", "two_step",
     "DensityPair", "LocalParams", "builtin_model", "builtin_models",
-    "find_threshold", "local_params", "metric_d", "posterior_rho",
+    "local_params", "metric_d", "posterior_rho",
     "BumpProfile", "TwoPointCertificate", "build_certificate",
     "default_bump", "estimate_c1", "make_plan", "perturb",
     "excess_risk", "prediction_error", "quadratic_bounds",

@@ -41,10 +41,6 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _float_list(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="threshlab")
     p.add_argument("--seed", type=int, default=None,
@@ -66,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--model", default=None)
     r.add_argument("--estimators", default="erm,twostep:L=4")
     r.add_argument("--n-list", type=_int_list, default=(250, 1000, 4000))
-    r.add_argument("--L-list", type=_float_list, default=())
     r.add_argument("--workers", type=int, default=1)
     r.add_argument("--svg", action="store_true")
 
@@ -124,7 +119,6 @@ def _dispatch(args, cfg) -> int:
             model=model,
             estimators=tuple(args.estimators.split(",")),
             n_list=args.n_list,
-            L_list=args.L_list,
             trials=trials,
             master_seed=seed,
             workers=args.workers,
@@ -157,15 +151,14 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "risk-curve":
         qb = quadratic_bounds(model)
-        a = model.threshold
-        print("alpha,loss,excess,lower_bound,upper_bound")
         alphas = np.linspace(0.0, 1.0, args.points)
-        for alpha, excess in zip(alphas, excess_risk(model, alphas).tolist()):
-            loss = prediction_error(model, float(alpha))
-            lower = min(qb.c9, qb.c3 * (a - alpha) ** 2)
-            upper = qb.c10 * (a - alpha) ** 2
-            print(",".join(fmt_float(v) for v in
-                           (alpha, loss, excess, lower, upper)))
+        gap = model.threshold - alphas
+        columns = (alphas, prediction_error(model, alphas),
+                   excess_risk(model, alphas),
+                   np.minimum(qb.c9, qb.c3 * gap ** 2), qb.c10 * gap ** 2)
+        print("alpha,loss,excess,lower_bound,upper_bound")
+        for row in zip(*(c.tolist() for c in columns)):
+            print(",".join(fmt_float(v) for v in row))
         return 0
 
     raise ThreshlabError(f"unknown command {args.command}")

@@ -185,43 +185,42 @@ def clock_estimator(n: int) -> float:
 
 
 def resolve_estimator(name: str):
-    """CLI vocabulary -> callable(sample) -> float.
+    """Estimator name -> (block, L).
 
-    Names: "erm", "clock", "twostep" (L = 1) and "twostep:L=<v>" with v a
-    finite number > 0; anything else raises ValueError.
+    block maps (trials, n) arrays x, y to the array of a_hat, one per row;
+    L is the refinement width the name states, the report's L column.
+    Names: "erm" and "clock" (L None), "twostep" (runs with L = 1, L None)
+    and "twostep:L=<v>" with v a finite number > 0 (L = v); anything else
+    raises ValueError.
     """
-    block = _block_estimator(name)
-    return lambda s: float(block(s.x[None, :], s.y[None, :])[0])
-
-
-def _block_estimator(name: str):
-    """The estimator `name` as a callable((trials, n) x, y) -> a_hat array."""
     if name == "erm":
-        return lambda x, y: erm_block(x, y)[0]
+        return (lambda x, y: erm_block(x, y)[0]), None
     if name == "clock":
-        return lambda x, y: np.full(len(x), clock_estimator(max(x.shape[1], 1)))
+        return (lambda x, y: np.full(
+            len(x), clock_estimator(max(x.shape[1], 1)))), None
     if name == "twostep":
-        L = 1.0
-    elif name.startswith("twostep:L="):
-        try:
-            L = float(name[len("twostep:L="):])
-        except ValueError:
-            L = math.nan
-        if not (math.isfinite(L) and L > 0.0):
-            raise ValueError(f"estimator {name!r}: L must be a finite "
-                             "number > 0")
-    else:
+        return (lambda x, y: two_step_block(x, y, 1.0)), None
+    if not name.startswith("twostep:L="):
         raise ValueError(f"unknown estimator {name!r}; expected erm, clock, "
                          "twostep or twostep:L=<v>")
-    return lambda x, y: two_step_block(x, y, L)
+    try:
+        L = float(name[len("twostep:L="):])
+    except ValueError:
+        L = math.nan
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"estimator {name!r}: L must be a finite number > 0")
+    return (lambda x, y: two_step_block(x, y, L)), L
 
 
 def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
                     trial_indices) -> np.ndarray:
     """The trial kernel: for each trial index t, the estimate of a(P) from
     draw(P, n, SeedPolicy(master_seed, t)), in the order given.  Trials are
-    drawn and estimated a sub-block at a time (sampling.sub_blocks)."""
-    est = _block_estimator(estimator)
+    drawn and estimated a sub-block at a time (sampling.sub_blocks); the
+    clock reads no sample, so its trials draw none."""
+    est, _ = resolve_estimator(estimator)
     seeds = [SeedPolicy(master_seed, t) for t in trial_indices]
+    if estimator == "clock":
+        return np.full(len(seeds), clock_estimator(max(n, 1)))
     return np.concatenate([np.empty(0)] + [
         est(*draw_block(P, n, block)) for block in sub_blocks(seeds, n)])

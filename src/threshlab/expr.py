@@ -198,19 +198,24 @@ class BumpComposite(Field):
         return self.profile.der((x - self.center) / self.eps)
 
 
-def check_derivative(f: Field, lo: float = 0.0, hi: float = 1.0, n: int = 101,
-                     step: float = 1e-5, rtol: float = 1e-6,
-                     avoid: tuple = ()) -> bool:
-    """Exact derivative vs central finite differences on an interior grid.
+_FD_POINTS = 101
+_FD_STEP = 1e-5
+_FD_RTOL = 1e-6
+
+
+def check_derivative(f: Field, avoid: tuple = ()) -> bool:
+    """Exact derivative vs central finite differences on an interior grid
+    of [0, 1]: 101 points, step 1e-5, relative tolerance 1e-6.
 
     Grid points within two steps of an `avoid` abscissa are skipped: a
     central difference straddling a point where only the first derivative
     is continuous is not a fair comparison.
     """
-    x = np.linspace(lo + 2 * step, hi - 2 * step, n)
+    step = _FD_STEP
+    x = np.linspace(2 * step, 1.0 - 2 * step, _FD_POINTS)
     for b in avoid:
         x = x[np.abs(x - b) > 2 * step]
     fd = (f.val(x + step) - f.val(x - step)) / (2.0 * step)
     ex = f.der(x)
     scale = np.maximum(np.abs(ex), 1.0)
-    return bool(np.all(np.abs(fd - ex) <= rtol * scale))
+    return bool(np.all(np.abs(fd - ex) <= _FD_RTOL * scale))

@@ -46,7 +46,6 @@ class ExperimentConfig:
     n_list: tuple
     trials: int
     master_seed: int
-    L_list: tuple = ()
     workers: int = 1
 
     def __post_init__(self):
@@ -54,19 +53,11 @@ class ExperimentConfig:
             raise ValueError("all n values must be >= 4")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         # estimator names must resolve now, not at trial time
-        for name in self.expanded_estimators():
-            resolve_estimator(name)
-
-    def expanded_estimators(self) -> tuple:
-        """Cross bare "twostep" with the L list; leave explicit names alone."""
-        out = []
         for name in self.estimators:
-            if name == "twostep" and self.L_list:
-                out.extend(f"twostep:L={fmt_float(L)}" for L in self.L_list)
-            else:
-                out.append(name)
-        return tuple(out)
+            resolve_estimator(name)
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,6 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _estimator_L(name: str) -> float | None:
-    if name.startswith("twostep:"):
-        return float(name.partition("=")[2])
-    return None
-
-
 def _stream_master(master_seed: int, est_name: str, n: int) -> int:
     """64-bit stream seed, a pure function of (master_seed, estimator, n)."""
     est_id = zlib.crc32(est_name.encode())
@@ -122,16 +107,19 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     do not depend on the worker count or on which block finishes first.
     """
     P = resolve_model(cfg.model)
-    cells = [(est, n) for est in cfg.expanded_estimators() for n in cfg.n_list]
-    chunk = max(1, math.ceil(cfg.trials / max(cfg.workers * 4, 1)))
+    cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
+    chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
     starts = range(0, cfg.trials, chunk)
     jobs = [(P, est, n, lo, min(lo + chunk, cfg.trials),
              _stream_master(cfg.master_seed, est, n))
             for est, n in cells for lo in starts]
-    if cfg.workers <= 1:
+    # a fork pool starts all its processes up front, so start no more than
+    # there are jobs
+    workers = min(cfg.workers, len(jobs))
+    if workers <= 1:
         blocks = iter(list(itertools.starmap(_trial_block, jobs)))
     else:
-        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             blocks = iter(list(pool.map(_trial_block, *zip(*jobs))))
     return RateReport(rows=tuple(
         _aggregate(cfg, P.name, est, n,
@@ -151,7 +139,7 @@ def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
     else:
         q50 = q90 = q95 = mean_excess = float("nan")
     return RateRow(
-        model=model_name, estimator=est_name, L=_estimator_L(est_name),
+        model=model_name, estimator=est_name, L=resolve_estimator(est_name)[1],
         n=n, trials=cfg.trials, q50=q50, q90=q90, q95=q95,
         mean_excess_scaled=mean_excess, seed=cfg.master_seed,
     )

@@ -25,7 +25,6 @@ from .expr import Affine, Const, Field, Monomial, check_derivative
 __all__ = [
     "DensityPair",
     "LocalParams",
-    "find_threshold",
     "metric_d",
     "posterior_rho",
     "local_params",
@@ -98,16 +97,14 @@ class DensityPair:
         pad = 0.5 * float(grid[1] - grid[0]) * float(np.max(dg))
         return _ENVELOPE_FACTOR * (float(np.max(fg)) + pad)
 
-    def sup_density(self, pad: bool = True) -> float:
+    def sup_density(self) -> float:
         """Certified sup of f over both labels: grid sup plus Lipschitz pad."""
         x = np.linspace(0.0, 1.0, _NONNEG_GRID)
         h = x[1] - x[0]
         sup = 0.0
         for f in (self.fplus, self.fminus):
-            gsup = float(np.max(f.val(x)))
-            if pad:
-                gsup += 0.5 * h * float(np.max(np.abs(f.der(x))))
-            sup = max(sup, gsup)
+            pad = 0.5 * h * float(np.max(np.abs(f.der(x))))
+            sup = max(sup, float(np.max(f.val(x))) + pad)
         return sup
 
     def validate(self) -> dict:
@@ -178,11 +175,6 @@ def _solve_threshold(P: DensityPair) -> float:
     if not (0.0 < a < 1.0):
         raise NoCrossing(f"{P.name}: crossing at boundary {a}")
     return a
-
-
-def find_threshold(P: DensityPair) -> float:
-    """The unique transversal intersection point a(P) in (0, 1)."""
-    return P.threshold
 
 
 def metric_d(P: DensityPair, Q: DensityPair) -> float:

@@ -34,6 +34,8 @@ __all__ = [
     "build_certificate",
 ]
 
+_CHECK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BumpProfile:
@@ -47,15 +49,16 @@ class BumpProfile:
     l2sq: float
     dsup: float
 
-    def check(self, tol: float = 1e-10) -> bool:
+    def check(self) -> bool:
         r = self.support_radius
         if not (0 < r <= 2):
             return False
         x = np.linspace(-r, r, 20001)
         v = self.value.val(x)
-        if abs(float(self.value.val(0.0)) - 1.0) > tol:
+        if abs(float(self.value.val(0.0)) - 1.0) > _CHECK_TOL:
             return False
-        if float(np.min(v)) < -tol or float(np.max(v)) > 1.0 + tol:
+        if (float(np.min(v)) < -_CHECK_TOL
+                or float(np.max(v)) > 1.0 + _CHECK_TOL):
             return False
         # phi and phi' must vanish at the boundary (C^1 extension by zero)
         for e in (-r, r):
@@ -65,7 +68,7 @@ class BumpProfile:
                 return False
         q, _ = adaptive_simpson(lambda t: self.value.val(t) ** 2, -r, r,
                                 QuadratureSpec(tol=1e-12))
-        return abs(q - self.l2sq) <= max(tol, 1e-10)
+        return abs(q - self.l2sq) <= _CHECK_TOL
 
 
 def default_bump() -> BumpProfile:

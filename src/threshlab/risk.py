@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .divergence import QuadratureSpec, adaptive_simpson, integrate_intervals
+from .divergence import QuadratureSpec, integrate_intervals
 from .errors import IntervalEscapes, NotMonotoneLocal
 from .model import DensityPair
 
@@ -21,6 +21,8 @@ __all__ = [
     "quadratic_bounds",
     "default_eps_nbhd",
 ]
+
+_BOUNDS_GRID = 4001
 
 
 @dataclass(frozen=True)
@@ -33,18 +35,33 @@ class QuadraticBounds:
     eps_nbhd: float
 
 
-def _clamp(alpha: float) -> float:
-    # h_alpha is the constant classifier beyond [0, 1]; loss is flat there
-    return min(max(alpha, 0.0), 1.0)
+def _per_alpha(alpha, values):
+    """values(flat alphas clamped to [0, 1]) reshaped like alpha; a number
+    gives a number.  h_alpha is the constant classifier beyond [0, 1], so
+    the loss is flat there."""
+    alphas = np.asarray(alpha, dtype=float)
+    if np.isnan(alphas).any():
+        raise ValueError("alpha must not be NaN")
+    flat = np.minimum(np.maximum(alphas.reshape(-1), 0.0), 1.0)
+    out = values(flat).reshape(alphas.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def prediction_error(P: DensityPair, alpha: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """L_P(alpha) = integral of f+ on [0, alpha] plus f- on [alpha, 1]."""
-    alpha = _clamp(alpha)
-    left, _ = adaptive_simpson(P.fplus.val, 0.0, alpha, spec, P.breakpoints)
-    right, _ = adaptive_simpson(P.fminus.val, alpha, 1.0, spec, P.breakpoints)
-    return left + right
+def prediction_error(P: DensityPair, alpha,
+                     spec: QuadratureSpec = QuadratureSpec()):
+    """L_P(alpha) = integral of f+ on [0, alpha] plus f- on [alpha, 1].
+
+    alpha is a number or an array; an array takes one quadrature call per
+    density for all its entries and returns the values the numbers would.
+    """
+    def values(flat):
+        left, _ = integrate_intervals(P.fplus.val, np.zeros_like(flat), flat,
+                                      spec, P.breakpoints)
+        right, _ = integrate_intervals(P.fminus.val, flat, np.ones_like(flat),
+                                       spec, P.breakpoints)
+        return left + right
+
+    return _per_alpha(alpha, values)
 
 
 def excess_risk(P: DensityPair, alpha,
@@ -54,16 +71,14 @@ def excess_risk(P: DensityPair, alpha,
     alpha is a number or an array; an array takes one quadrature call for
     all its entries and returns an array of the values the number would.
     """
-    alphas = np.asarray(alpha, dtype=float)
-    if np.isnan(alphas).any():
-        raise ValueError("alpha must not be NaN")
-    alphas = np.minimum(np.maximum(alphas, 0.0), 1.0)  # as _clamp
     a = P.threshold
-    flat = alphas.reshape(-1)
-    vals, _ = integrate_intervals(P.margin, np.minimum(a, flat),
-                                  np.maximum(a, flat), spec, P.breakpoints)
-    out = np.where(flat >= a, vals, -vals).reshape(alphas.shape)
-    return float(out) if out.ndim == 0 else out
+
+    def values(flat):
+        vals, _ = integrate_intervals(P.margin, np.minimum(a, flat),
+                                      np.maximum(a, flat), spec, P.breakpoints)
+        return np.where(flat >= a, vals, -vals)
+
+    return _per_alpha(alpha, values)
 
 
 def default_eps_nbhd(P: DensityPair) -> float:
@@ -72,8 +87,8 @@ def default_eps_nbhd(P: DensityPair) -> float:
     return 0.5 * min(a, 1.0 - a)
 
 
-def quadratic_bounds(P: DensityPair, eps_nbhd: float | None = None,
-                     grid: int = 4001) -> QuadraticBounds:
+def quadratic_bounds(P: DensityPair,
+                     eps_nbhd: float | None = None) -> QuadraticBounds:
     """c3 = (1/2) inf m' near a(P), c10 = (1/2) sup |m'| on [0, 1], c9 = c3 eps^2."""
     if eps_nbhd is None:
         eps_nbhd = default_eps_nbhd(P)
@@ -82,11 +97,11 @@ def quadratic_bounds(P: DensityPair, eps_nbhd: float | None = None,
         raise IntervalEscapes(
             f"[{a - eps_nbhd}, {a + eps_nbhd}] not inside (0, 1)"
         )
-    local = np.linspace(a - eps_nbhd, a + eps_nbhd, grid)
+    local = np.linspace(a - eps_nbhd, a + eps_nbhd, _BOUNDS_GRID)
     c3 = 0.5 * float(np.min(P.margin_der(local)))
     if c3 <= 0.0:
         raise NotMonotoneLocal(f"{P.name}: inf m' <= 0 on the eps-neighborhood")
-    full = np.linspace(0.0, 1.0, grid)
+    full = np.linspace(0.0, 1.0, _BOUNDS_GRID)
     c10 = 0.5 * float(np.max(np.abs(P.margin_der(full))))
     return QuadraticBounds(c3=c3, c10=c10, c9=c3 * eps_nbhd ** 2,
                            eps_nbhd=eps_nbhd)

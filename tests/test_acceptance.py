@@ -182,10 +182,10 @@ def test_criterion_07_erm_oracle():
            mismatches == 0, f"{mismatches} mismatches in 1000 samples")
 
 
-def _sweep(estimators, n_list, trials=2000, L_list=()):
+def _sweep(estimators, n_list, trials=2000):
     cfg = ExperimentConfig(
         model="canonical", estimators=estimators, n_list=n_list,
-        trials=trials, master_seed=92507, L_list=L_list, workers=8,
+        trials=trials, master_seed=92507, workers=8,
     )
     return rate_sweep(cfg)
 

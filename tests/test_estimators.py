@@ -259,9 +259,16 @@ def test_clock_range(n):
 
 def test_resolve_names():
     s = sample_of([(0.1, -1), (0.9, 1), (0.3, -1), (0.7, 1)])
-    assert resolve_estimator("erm")(s) == erm_threshold(s).a_hat
-    assert resolve_estimator("twostep:L=1")(s) == two_step(s, 1.0)
-    assert resolve_estimator("clock")(s) == clock_estimator(4)
+
+    def one_row(name):
+        block, L = resolve_estimator(name)
+        return block(s.x[None, :], s.y[None, :]).tolist(), L
+
+    assert one_row("erm") == ([erm_threshold(s).a_hat], None)
+    assert one_row("twostep:L=1") == ([two_step(s, 1.0)], 1.0)
+    assert one_row("twostep") == ([two_step(s, 1.0)], None)
+    assert one_row("clock") == ([clock_estimator(4)], None)
+    assert resolve_estimator("twostep:L=2.5")[1] == 2.5
     with pytest.raises(ValueError):
         resolve_estimator("nearest-neighbor")
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from threshlab import cli
+from threshlab import cli, harness
 from threshlab.harness import (
     CERT_HEADER,
     RATES_HEADER,
@@ -50,12 +50,20 @@ def test_config_rejects_unknown_estimator():
                          n_list=(64,), trials=1, master_seed=0)
 
 
-def test_bare_twostep_crosses_with_L_list():
-    cfg = ExperimentConfig(model="canonical", estimators=("erm", "twostep"),
-                           n_list=(64,), trials=1, master_seed=0,
-                           L_list=(1.0, 4.0))
-    assert cfg.expanded_estimators() == ("erm", "twostep:L=1.0",
-                                         "twostep:L=4.0")
+@pytest.mark.parametrize("workers", [0, -2])
+def test_config_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError):
+        ExperimentConfig(model="canonical", estimators=("erm",),
+                         n_list=(64,), trials=1, master_seed=0,
+                         workers=workers)
+
+
+def test_L_column_comes_from_the_name():
+    cfg = ExperimentConfig(
+        model="canonical", estimators=("erm", "clock", "twostep",
+                                       "twostep:L=4", "twostep:L=0.5"),
+        n_list=(64,), trials=2, master_seed=0)
+    assert [r.L for r in rate_sweep(cfg).rows] == [None, None, None, 4.0, 0.5]
 
 
 # --- determinism -----------------------------------------------------------------
@@ -65,6 +73,39 @@ def test_sweep_is_deterministic_across_worker_counts():
     serial = rate_sweep(small_config(workers=1))
     parallel = rate_sweep(small_config(workers=8))
     assert list(rates_csv_lines(serial)) == list(rates_csv_lines(parallel))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("trials, started", [(40, [8]), (3, [3]), (1, []),
+                                             (0, [])])
+def test_pool_starts_at_most_one_process_per_job(trials, started,
+                                                 monkeypatch):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    cfg = ExperimentConfig(model="canonical", estimators=("erm",),
+                           n_list=(64,), trials=trials, master_seed=1,
+                           workers=8)
+    report = rate_sweep(cfg)
+    assert RecordingPool.started == started
+    assert [r.trials for r in report.rows] == [trials]
 
 
 def test_sweep_repeatable_in_process():
@@ -349,10 +390,30 @@ def test_cli_rejects_malformed_estimator_before_any_work(name, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_rejects_nonpositive_L_list():
-    with pytest.raises(ValueError):
-        ExperimentConfig(model="canonical", estimators=("twostep",),
-                         n_list=(64,), trials=1, master_seed=0, L_list=(0.0,))
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_workers_below_one_before_any_file(workers, tmp_path,
+                                                       capsys):
+    assert cli.main(["--out", str(tmp_path / "out"), "rates",
+                     "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rates_has_no_L_list(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "out"), "rates",
+                  "--estimators", "erm,twostep", "--L-list", "1,4"])
+    assert exc.value.code == 2
+    assert "--L-list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_risk_curve_error_prints_nothing_to_stdout(capsys):
+    assert cli.main(["risk-curve", "--points", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_rates_zero_trials_writes_valid_json(tmp_path, capsys):
@@ -370,3 +431,10 @@ def test_cli_rates_zero_trials_writes_valid_json(tmp_path, capsys):
         == [None] * 4
     csv_row = (tmp_path / "rates.csv").read_text().splitlines()[1]
     assert csv_row == "canonical,erm,,64,0,nan,nan,nan,nan,0"
+    # no job, so no pool: two workers write the same files
+    assert cli.main(["--trials", "0", "--out", str(tmp_path / "w2"), "rates",
+                     "--workers", "2", "--estimators", "erm",
+                     "--n-list", "64"]) == 0
+    for name in ("rates.csv", "rates.json"):
+        assert (tmp_path / "w2" / name).read_bytes() == \
+            (tmp_path / name).read_bytes()

@@ -206,6 +206,18 @@ def test_envelope_violation_still_raises():
         estimate_trials(P, "erm", 10, 1, range(3))
 
 
+def test_clock_trials_draw_nothing(monkeypatch):
+    def no_draw(P, n, seeds):
+        raise AssertionError("the clock drew a sample")
+
+    monkeypatch.setattr(estimators, "draw_block", no_draw)
+    P = builtin_model("canonical")
+    for n in (0, 1, 6, 10 ** 4):
+        got = estimate_trials(P, "clock", n, 3, range(7))
+        assert bits(got) == bits([clock_estimator(max(n, 1))] * 7)
+    assert estimate_trials(P, "clock", 10, 3, []).shape == (0,)
+
+
 def test_sub_blocks_respect_the_uniform_cap(monkeypatch):
     blocks = []
 

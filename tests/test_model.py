@@ -24,7 +24,6 @@ from threshlab.model import (
     DensityPair,
     builtin_model,
     builtin_models,
-    find_threshold,
     local_params,
     metric_d,
     model_from_config,
@@ -39,16 +38,16 @@ def models():
     return {m.name: m for m in builtin_models()}
 
 
-# --- find_threshold ----------------------------------------------------------
+# --- threshold ----------------------------------------------------------------
 
 
 def test_canonical_threshold_by_symmetry(models):
-    assert find_threshold(models["canonical"]) == pytest.approx(0.5, abs=1e-12)
+    assert models["canonical"].threshold == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tilted_threshold_closed_form(models):
     # root of x^2 = 1 - x
-    assert find_threshold(models["tilted"]) == pytest.approx(GOLDEN, abs=1e-12)
+    assert models["tilted"].threshold == pytest.approx(GOLDEN, abs=1e-12)
 
 
 def _perturbed_shift_oracle(eps: float) -> float:

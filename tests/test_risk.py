@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from threshlab.divergence import QuadratureSpec, adaptive_simpson
 from threshlab.errors import IntervalEscapes, NotMonotoneLocal
 from threshlab.model import builtin_models
 from threshlab.risk import (
@@ -55,6 +56,29 @@ def test_loss_clamps_out_of_range(models):
     P = models["canonical"]
     assert prediction_error(P, -3.0) == prediction_error(P, 0.0)
     assert prediction_error(P, 7.0) == prediction_error(P, 1.0)
+
+
+def reference_prediction_error(P, alpha):
+    """The scalar form: one adaptive_simpson call per side of alpha."""
+    alpha = min(max(alpha, 0.0), 1.0)
+    spec = QuadratureSpec()
+    left, _ = adaptive_simpson(P.fplus.val, 0.0, alpha, spec, P.breakpoints)
+    right, _ = adaptive_simpson(P.fminus.val, alpha, 1.0, spec, P.breakpoints)
+    return left + right
+
+
+def test_loss_array_equals_scalar_reference(models):
+    alphas = np.linspace(-0.2, 1.2, 141)
+    for P in models.values():
+        want = [reference_prediction_error(P, float(al)) for al in alphas]
+        got = prediction_error(P, alphas)
+        assert got.view(np.int64).tolist() == \
+            np.array(want).view(np.int64).tolist()
+        assert [prediction_error(P, float(al)) for al in alphas[::10]] == \
+            want[::10]
+        assert prediction_error(P, alphas.reshape(1, -1)).shape == (1, 141)
+    with pytest.raises(ValueError):
+        prediction_error(models["canonical"], np.array([0.2, np.nan]))
 
 
 # --- excess_risk ------------------------------------------------------------------
