@@ -1,13 +1,13 @@
 """threshlab: a numerical laboratory for cube-root threshold estimation.
 
-Density pairs with exact derivatives, KL/TV quadrature, entropy-budgeted
+Density pairs with exact derivatives, KL quadrature, entropy-budgeted
 bump perturbations with two-point certificates, threshold estimators
 (ERM, windowed regression, two-step split, clock), local quadratic risk
 bounds, finite information-inequality checkers, and a Monte Carlo rate
 harness with CLI.
 """
 
-from .divergence import QuadratureSpec, relative_entropy, total_variation
+from .divergence import QuadratureSpec, relative_entropy
 from .errors import ThreshlabError
 from .estimators import clock_estimator, erm_threshold, refine_local, two_step
 from .model import (
@@ -16,8 +16,6 @@ from .model import (
     builtin_model,
     builtin_models,
     local_params,
-    metric_d,
-    posterior_rho,
 )
 from .perturbation import (
     BumpProfile,
@@ -34,11 +32,11 @@ from .sampling import LabeledSample, SeedPolicy, cdf_sigma, draw
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadratureSpec", "relative_entropy", "total_variation",
+    "QuadratureSpec", "relative_entropy",
     "ThreshlabError",
     "clock_estimator", "erm_threshold", "refine_local", "two_step",
     "DensityPair", "LocalParams", "builtin_model", "builtin_models",
-    "local_params", "metric_d", "posterior_rho",
+    "local_params",
     "BumpProfile", "TwoPointCertificate", "build_certificate",
     "default_bump", "estimate_c1", "make_plan", "perturb",
     "excess_risk", "prediction_error", "quadratic_bounds",

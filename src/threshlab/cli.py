@@ -41,8 +41,17 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are the one line
+    `error: <message>` on stderr with exit code 2, like every other error;
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="threshlab")
+    p = _Parser(prog="threshlab")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (u64); default: config seed, else 0")
     p.add_argument("--trials", type=int, default=None,

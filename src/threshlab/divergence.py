@@ -1,4 +1,4 @@
-"""Relative entropy and total variation between density pairs.
+"""Relative entropy between density pairs, and the quadrature behind it.
 
 Integration is level-wise adaptive Simpson with a per-panel Richardson error
 estimate.  Integrands take a float64 array and return an array of the same
@@ -21,7 +21,6 @@ from .model import DensityPair
 __all__ = [
     "QuadratureSpec",
     "relative_entropy",
-    "total_variation",
     "adaptive_simpson",
     "integrate_intervals",
 ]
@@ -165,14 +164,10 @@ def _sum_by_owner(count, values, errors, owners) -> tuple:
     return out_v, out_e
 
 
-def _pair_breakpoints(P: DensityPair, Q: DensityPair):
-    return (*P.breakpoints, *Q.breakpoints, P.threshold, Q.threshold)
-
-
 def relative_entropy(P: DensityPair, Q: DensityPair,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
     """H(P, Q) = sum over labels of integral of f_P log(f_P / f_Q)."""
-    bps = _pair_breakpoints(P, Q)
+    bps = (*P.breakpoints, *Q.breakpoints, P.threshold, Q.threshold)
     total = 0.0
     for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
         def integrand(x, fP=fP, fQ=fQ):
@@ -193,17 +188,3 @@ def relative_entropy(P: DensityPair, Q: DensityPair,
         val, _ = adaptive_simpson(integrand, 0.0, 1.0, spec, bps)
         total += val
     return total
-
-
-def total_variation(P: DensityPair, Q: DensityPair,
-                    spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """TV(P, Q) = (1/2) sum over labels of integral of |f_P - f_Q|; in [0, 1]."""
-    bps = _pair_breakpoints(P, Q)
-    total = 0.0
-    for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
-        val, _ = adaptive_simpson(
-            lambda x, fP=fP, fQ=fQ: np.abs(fP.val(x) - fQ.val(x)),
-            0.0, 1.0, spec, bps,
-        )
-        total += val
-    return 0.5 * total

@@ -26,10 +26,6 @@ class NotTransversal(ThreshlabError):
     """The crossing exists but (f+ - f-)'(a) <= 0."""
 
 
-class ZeroMass(ThreshlabError):
-    """f+(x) + f-(x) is numerically zero at a queried point."""
-
-
 class InvalidModel(ThreshlabError):
     """A finite model or density pair fails its structural invariants."""
 

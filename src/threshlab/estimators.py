@@ -33,7 +33,6 @@ __all__ = [
 class ErmResult:
     a_hat: float
     min_errors: int
-    candidate_count: int
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class RefineResult:
     a_hat: float
     window_count: int
     fell_back: bool
-    b1: float
-    b2: float
 
 
 def erm_threshold(sample: LabeledSample) -> ErmResult:
@@ -52,19 +49,17 @@ def erm_threshold(sample: LabeledSample) -> ErmResult:
     abscissae; h_a(x) = +1 iff x >= a.  Empty sample returns a_hat = 0.
     The one-row case of erm_block.
     """
-    a_hat, errors, count = erm_block(sample.x[None, :], sample.y[None, :])
-    return ErmResult(a_hat=float(a_hat[0]), min_errors=int(errors[0]),
-                     candidate_count=int(count[0]))
+    a_hat, errors = erm_block(sample.x[None, :], sample.y[None, :])
+    return ErmResult(a_hat=float(a_hat[0]), min_errors=int(errors[0]))
 
 
 def erm_block(x, y) -> tuple:
     """erm_threshold on each row of (trials, n) arrays; returns the arrays
-    (a_hat, min_errors, candidate_count), one entry per row."""
+    (a_hat, min_errors), one entry per row."""
     x = np.asarray(x, dtype=float)
     rows, n = x.shape
     if n == 0:
-        return (np.zeros(rows), np.zeros(rows, dtype=np.int64),
-                np.full(rows, 2))
+        return np.zeros(rows), np.zeros(rows, dtype=np.int64)
     # prefix counts are read only where the sorted abscissa changes, so the
     # order inside a tie does not matter and the faster unstable sort will do
     order = np.argsort(x, axis=1)
@@ -100,15 +95,15 @@ def erm_block(x, y) -> tuple:
     errors[:, 1:n][~distinct] = n + 1  # not a candidate
     best = np.argmin(errors, axis=1)  # first minimum -> smallest candidate
     pick = np.arange(rows)
-    return (candidates[pick, best], errors[pick, best],
-            2 + np.count_nonzero(distinct, axis=1))
+    return candidates[pick, best], errors[pick, best]
 
 
 _DET_FLOOR = 1e-30
 
 
-def refine_local(sample: LabeledSample, a0: float, L: float) -> RefineResult:
-    """Regression-line refinement of a starting threshold a0.
+def refine_local(x, y, a0: float, L: float) -> RefineResult:
+    """Regression-line refinement of a starting threshold a0 on the sample
+    (x, y), two 1-d arrays of equal length.
 
     Takes the points within the window |x - a0| <= L n^(-1/3), fits the line
     y = b1 (x - a0) + b2 by the 2x2 normal equations, and returns the
@@ -120,16 +115,16 @@ def refine_local(sample: LabeledSample, a0: float, L: float) -> RefineResult:
         raise ValueError("L must be positive")
     if not (0.0 < a0 < 1.0):
         raise ValueError("a0 must lie in (0, 1)")
-    n = len(sample)
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    n = len(x)
     if n < 1:
         raise SampleTooSmall("refine_local needs at least one point")
     M = L * n ** (-1.0 / 3.0)
-    inside = np.abs(sample.x - a0) <= M
-    xt = sample.x[inside] - a0
-    yw = sample.y[inside].astype(float)
+    inside = np.abs(x - a0) <= M
+    xt = x[inside] - a0
+    yw = y[inside].astype(float)
     k = len(xt)
-    fallback = RefineResult(a_hat=a0, window_count=k, fell_back=True,
-                            b1=0.0, b2=0.0)
+    fallback = RefineResult(a_hat=a0, window_count=k, fell_back=True)
     if k < 2 or xt.min() == xt.max():
         return fallback
     sx = float(xt.sum())
@@ -144,8 +139,7 @@ def refine_local(sample: LabeledSample, a0: float, L: float) -> RefineResult:
     b2 = (sxx * sy - sx * sxy) / det
     if b1 == 0.0:
         return fallback
-    return RefineResult(a_hat=a0 - b2 / b1, window_count=k, fell_back=False,
-                        b1=b1, b2=b2)
+    return RefineResult(a_hat=a0 - b2 / b1, window_count=k, fell_back=False)
 
 
 def two_step(sample: LabeledSample, L: float) -> float:
@@ -171,8 +165,7 @@ def two_step_block(x, y, L: float) -> np.ndarray:
     a0 = np.where(a0 <= 0.0, 1.0 / (2.0 * m),
                   np.where(a0 >= 1.0, 1.0 - 1.0 / (2.0 * m), a0))
     return np.array([
-        refine_local(LabeledSample(x[k, m:2 * m], y[k, m:2 * m], seed=0),
-                     start, L).a_hat
+        refine_local(x[k, m:2 * m], y[k, m:2 * m], start, L).a_hat
         for k, start in enumerate(a0.tolist())], dtype=float)
 
 

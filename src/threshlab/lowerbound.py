@@ -163,10 +163,6 @@ class GeneralLossSetup:
         if self.gamma <= 0:
             raise InvalidModel("gamma must be positive")
 
-    @property
-    def hypotheses(self) -> int:
-        return len(self.loss_p)
-
     def regrets(self) -> tuple:
         dp = tuple(v - min(self.loss_p) for v in self.loss_p)
         dq = tuple(v - min(self.loss_q) for v in self.loss_q)

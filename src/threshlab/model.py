@@ -18,15 +18,12 @@ from .errors import (
     MultipleCrossings,
     NoCrossing,
     NotTransversal,
-    ZeroMass,
 )
 from .expr import Affine, Const, Field, Monomial, check_derivative
 
 __all__ = [
     "DensityPair",
     "LocalParams",
-    "metric_d",
-    "posterior_rho",
     "local_params",
     "builtin_models",
     "builtin_model",
@@ -36,7 +33,6 @@ __all__ = [
 
 _BRACKET_GRID = 2048
 _BISECT_WIDTH = 1e-14
-_METRIC_GRID = 10_001
 _NONNEG_GRID = 10_001
 _ENVELOPE_GRID = 4097
 _ENVELOPE_FACTOR = 1.01
@@ -92,20 +88,15 @@ class DensityPair:
         sup: grid sup plus a Lipschitz pad, then a safety factor.
         """
         grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
-        fg = self.fsum(grid)
         dg = np.abs(self.fplus.der(grid)) + np.abs(self.fminus.der(grid))
-        pad = 0.5 * float(grid[1] - grid[0]) * float(np.max(dg))
-        return _ENVELOPE_FACTOR * (float(np.max(fg)) + pad)
+        sup = _padded_range(self.fsum(grid), dg, grid[1] - grid[0])[1]
+        return _ENVELOPE_FACTOR * sup
 
     def sup_density(self) -> float:
         """Certified sup of f over both labels: grid sup plus Lipschitz pad."""
         x = np.linspace(0.0, 1.0, _NONNEG_GRID)
-        h = x[1] - x[0]
-        sup = 0.0
-        for f in (self.fplus, self.fminus):
-            pad = 0.5 * h * float(np.max(np.abs(f.der(x))))
-            sup = max(sup, float(np.max(f.val(x))) + pad)
-        return sup
+        return max(_padded_range(f.val(x), np.abs(f.der(x)), x[1] - x[0])[1]
+                   for f in (self.fplus, self.fminus))
 
     def validate(self) -> dict:
         """Run every class-membership invariant; returns name -> (ok, detail)."""
@@ -117,8 +108,7 @@ class DensityPair:
         for label, f in (("fplus", self.fplus), ("fminus", self.fminus)):
             v = f.val(x)
             gmin = float(np.min(v))
-            lip = float(np.max(np.abs(f.der(x))))
-            certified = gmin - 0.5 * h * lip
+            certified = _padded_range(v, np.abs(f.der(x)), h)[0]
             report[f"nonneg_{label}"] = (
                 gmin >= -1e-12,
                 f"grid min {gmin:.3e}, certified lower bound {certified:.3e}",
@@ -138,6 +128,14 @@ class DensityPair:
             True, f"a = {self.threshold!r}",
         )
         return report
+
+
+def _padded_range(values, abs_der, h) -> tuple:
+    """(min - pad, max + pad) of a function's values on a grid of step h,
+    with the Lipschitz pad 0.5 h max|f'|: certified bounds on the function
+    between the grid points, given |f'| on the grid as abs_der."""
+    pad = 0.5 * float(h) * float(np.max(abs_der))
+    return float(np.min(values)) - pad, float(np.max(values)) + pad
 
 
 def _solve_threshold(P: DensityPair) -> float:
@@ -175,30 +173,6 @@ def _solve_threshold(P: DensityPair) -> float:
     if not (0.0 < a < 1.0):
         raise NoCrossing(f"{P.name}: crossing at boundary {a}")
     return a
-
-
-def metric_d(P: DensityPair, Q: DensityPair) -> float:
-    """Grid lower bound of ||f_P - f_Q||_inf + ||d1 f_P - d1 f_Q||_inf.
-
-    The sup is taken over both labels and a 10^4-point x-grid; the true sup
-    can only be larger.
-    """
-    x = np.linspace(0.0, 1.0, _METRIC_GRID)
-    vsup = 0.0
-    dsup = 0.0
-    for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
-        vsup = max(vsup, float(np.max(np.abs(fP.val(x) - fQ.val(x)))))
-        dsup = max(dsup, float(np.max(np.abs(fP.der(x) - fQ.der(x)))))
-    return vsup + dsup
-
-
-def posterior_rho(P: DensityPair, x: float):
-    """(rho+, rho-) = (f+, f-) / (f+ + f-); the pair sums to 1 exactly."""
-    fs = float(P.fsum(x))
-    if fs <= 1e-30:
-        raise ZeroMass(f"{P.name}: f_sigma({x}) = {fs} <= 1e-30")
-    rp = float(P.fplus.val(x)) / fs
-    return rp, 1.0 - rp
 
 
 def local_params(P: DensityPair) -> LocalParams:

@@ -47,41 +47,15 @@ class LabeledSample:
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
-    model_name: str = ""
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def points(self) -> list:
-        return list(zip(self.x.tolist(), self.y.tolist()))
-
-    def subset(self, start: int, stop: int) -> "LabeledSample":
-        return LabeledSample(
-            x=self.x[start:stop], y=self.y[start:stop],
-            seed=self.seed, model_name=self.model_name,
-        )
-
-    @staticmethod
-    def from_points(points, seed: int = 0, model_name: str = "") -> "LabeledSample":
-        if len(points) == 0:
-            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8),
-                                 seed, model_name)
-        xs, ys = zip(*points)
-        return LabeledSample(
-            x=np.asarray(xs, dtype=float),
-            y=np.asarray(ys, dtype=np.int8),
-            seed=seed,
-            model_name=model_name,
-        )
 
 
 def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     """n i.i.d. copies of (X, Y) under P, fully deterministic given the seed."""
     x, y = draw_block(P, n, [seed])
-    return LabeledSample(x=x[0], y=y[0], seed=seed.master_seed,
-                         model_name=P.name)
+    return LabeledSample(x=x[0], y=y[0])
 
 
 def draw_block(P: DensityPair, n: int, seeds) -> tuple:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson, relative_entropy
-from threshlab.estimators import clock_estimator, erm_threshold, two_step
+from threshlab.estimators import erm_threshold, estimate_trials
 from threshlab.harness import ExperimentConfig, rate_sweep, rates_csv_lines
 from threshlab.lowerbound import (
     FiniteModel,
@@ -28,7 +28,7 @@ from threshlab.perturbation import (
     perturb,
 )
 from threshlab.risk import excess_risk, quadratic_bounds
-from threshlab.sampling import LabeledSample, SeedPolicy, draw
+from threshlab.sampling import LabeledSample, SeedPolicy
 
 
 def report(number, label, ok, detail=""):
@@ -170,7 +170,7 @@ def test_criterion_07_erm_oracle():
         k = int(rng.integers(1, 13))
         xs = rng.random(k)
         ys = rng.choice([-1, 1], size=k)
-        r = erm_threshold(LabeledSample(x=xs, y=ys.astype(np.int8), seed=0))
+        r = erm_threshold(LabeledSample(x=xs, y=ys.astype(np.int8)))
         order = np.argsort(xs, kind="stable")
         sx, sy = xs[order], ys[order]
         plus_prefix = np.concatenate(([0], np.cumsum(sy == 1)))
@@ -207,11 +207,8 @@ def test_criterion_09_window_width_improvement():
     scale = n ** (1.0 / 3.0)
     tails = {}
     for L in (1.0, 8.0):
-        hits = 0
-        for t in range(trials):
-            s = draw(P, n, SeedPolicy(11083, t))
-            a_hat = two_step(s, L)
-            hits += int(scale * abs(a_hat - a) > 2.0)
+        a_hats = estimate_trials(P, f"twostep:L={L}", n, 11083, range(trials))
+        hits = int(np.count_nonzero(scale * np.abs(a_hats - a) > 2.0))
         tails[L] = hits / trials
     report(9, "wider refinement window does not inflate the error tail",
            tails[8.0] <= tails[1.0] + 0.02,

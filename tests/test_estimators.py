@@ -18,8 +18,16 @@ from threshlab.model import builtin_model
 from threshlab.sampling import LabeledSample, SeedPolicy, draw
 
 
+def arrays_of(points):
+    """(x, y) arrays of a list of (x, y) points."""
+    if not points:
+        return np.empty(0), np.empty(0, dtype=np.int8)
+    xs, ys = zip(*points)
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int8)
+
+
 def sample_of(points):
-    return LabeledSample.from_points(points)
+    return LabeledSample(*arrays_of(points))
 
 
 def brute_force_errors(points, a_grid):
@@ -42,7 +50,6 @@ def test_erm_clean_split():
     r = erm_threshold(sample_of([(0.2, -1), (0.4, -1), (0.6, 1), (0.8, 1)]))
     assert r.a_hat == pytest.approx(0.5, abs=1e-15)
     assert r.min_errors == 0
-    assert r.candidate_count == 5
 
 
 def test_erm_all_positive_returns_zero():
@@ -101,38 +108,34 @@ def test_erm_reported_count_is_achieved(points):
 
 def test_refine_antisymmetric_pair():
     a0 = 0.5
-    s = sample_of([(a0 - 0.1, -1), (a0 + 0.1, 1)])
-    r = refine_local(s, a0, L=1.0)
+    r = refine_local(*arrays_of([(a0 - 0.1, -1), (a0 + 0.1, 1)]), a0, L=1.0)
     assert not r.fell_back
-    assert r.b1 == pytest.approx(10.0, abs=1e-12)
-    assert r.b2 == pytest.approx(0.0, abs=1e-12)
     assert r.a_hat == pytest.approx(a0, abs=1e-12)
 
 
 def test_refine_three_point_example():
     a0 = 0.5
-    s = sample_of([(a0 - 0.1, -1), (a0, -1), (a0 + 0.1, 1)])
-    r = refine_local(s, a0, L=1.0)
+    # least squares through the three points: b1 = 10, b2 = -1/3
+    x, y = arrays_of([(a0 - 0.1, -1), (a0, -1), (a0 + 0.1, 1)])
+    r = refine_local(x, y, a0, L=1.0)
     assert r.window_count == 3
-    assert r.b1 == pytest.approx(10.0, abs=1e-12)
-    assert r.b2 == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert r.a_hat == pytest.approx(a0 + 1.0 / 30.0, abs=1e-12)
 
 
 def test_refine_single_point_falls_back():
-    r = refine_local(sample_of([(0.5, 1)]), 0.5, L=1.0)
+    r = refine_local(*arrays_of([(0.5, 1)]), 0.5, L=1.0)
     assert r.fell_back
     assert r.a_hat == 0.5
 
 
 def test_refine_duplicate_abscissae_fall_back():
-    r = refine_local(sample_of([(0.5, 1), (0.5, -1)]), 0.5, L=1.0)
+    r = refine_local(*arrays_of([(0.5, 1), (0.5, -1)]), 0.5, L=1.0)
     assert r.fell_back
 
 
 def test_refine_flat_labels_fall_back():
     # b1 = 0 for constant labels
-    r = refine_local(sample_of([(0.4, 1), (0.5, 1), (0.6, 1)]), 0.5, L=1.0)
+    r = refine_local(*arrays_of([(0.4, 1), (0.5, 1), (0.6, 1)]), 0.5, L=1.0)
     assert r.fell_back
     assert r.a_hat == 0.5
 
@@ -142,37 +145,36 @@ def test_refine_normal_equation_residual():
     for _ in range(50):
         pts = [(float(rng.uniform(0.3, 0.7)), int(rng.choice([-1, 1])))
                for _ in range(rng.integers(2, 15))]
-        r = refine_local(sample_of(pts), 0.5, L=2.0)
+        x, y = arrays_of(pts)
+        r = refine_local(x, y, 0.5, L=2.0)
         if r.fell_back:
             continue
-        xt = np.array([p[0] for p in pts]) - 0.5
-        yv = np.array([p[1] for p in pts], dtype=float)
-        A = np.array([[np.sum(xt * xt), np.sum(xt)],
-                      [np.sum(xt), len(xt)]])
-        rhs = np.array([np.sum(xt * yv), np.sum(yv)])
-        res = A @ np.array([r.b1, r.b2]) - rhs
-        assert np.max(np.abs(res)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
+        # the line y = b1 (x - a0) + b2 by least squares on the window
+        inside = np.abs(x - 0.5) <= 2.0 * len(x) ** (-1.0 / 3.0)
+        xt = x[inside] - 0.5
+        A = np.column_stack((xt, np.ones_like(xt)))
+        (b1, b2), *_ = np.linalg.lstsq(A, y[inside].astype(float), rcond=None)
+        expected = 0.5 - b2 / b1
+        assert r.window_count == len(xt)
+        assert abs(r.a_hat - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_refine_exact_on_linear_data():
     a0 = 0.4
     c1, c2 = 3.0, -0.45
     xs = np.linspace(a0 - 0.2, a0 + 0.2, 9)
-    pts = [(float(x), c1 * (x - a0) + c2) for x in xs]
-    s = LabeledSample(x=np.array([p[0] for p in pts]),
-                      y=np.array([p[1] for p in pts]), seed=0)
-    r = refine_local(s, a0, L=1.0)
+    r = refine_local(xs, c1 * (xs - a0) + c2, a0, L=1.0)
     assert r.a_hat == pytest.approx(a0 - c2 / c1, abs=1e-10)
 
 
 def test_refine_rejects_bad_arguments():
-    s = sample_of([(0.5, 1)])
+    x, y = arrays_of([(0.5, 1)])
     with pytest.raises(ValueError):
-        refine_local(s, 0.5, L=0.0)
+        refine_local(x, y, 0.5, L=0.0)
     with pytest.raises(ValueError):
-        refine_local(s, 0.0, L=1.0)
+        refine_local(x, y, 0.0, L=1.0)
     with pytest.raises(SampleTooSmall):
-        refine_local(sample_of([]), 0.5, L=1.0)
+        refine_local(*arrays_of([]), 0.5, L=1.0)
 
 
 def test_refine_window_excludes_far_points():
@@ -180,7 +182,7 @@ def test_refine_window_excludes_far_points():
     near = [(0.45, -1), (0.55, 1)]
     far = [(0.0, 1), (0.001, 1), (0.002, 1), (0.998, -1), (0.999, -1),
            (1.0, -1)]
-    r = refine_local(sample_of(near + far), 0.5, L=0.2)
+    r = refine_local(*arrays_of(near + far), 0.5, L=0.2)
     assert r.window_count == 2
     assert r.a_hat == pytest.approx(0.5, abs=1e-12)
 

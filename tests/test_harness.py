@@ -409,6 +409,21 @@ def test_cli_rates_has_no_L_list(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--n-list", "1,x"],
+    ["rates", "--L-list", "1,4"],
+    [],
+])
+def test_cli_usage_errors_print_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "usage:" not in captured.out + captured.err
+
+
 def test_cli_risk_curve_error_prints_nothing_to_stdout(capsys):
     assert cli.main(["risk-curve", "--points", "-1"]) == 2
     captured = capsys.readouterr()

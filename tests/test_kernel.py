@@ -23,7 +23,6 @@ from threshlab.perturbation import build_certificate, default_bump
 from threshlab.risk import excess_risk
 from threshlab.sampling import (
     _MAX_BLOCK_UNIFORMS,
-    LabeledSample,
     SeedPolicy,
     draw,
     draw_block,
@@ -57,10 +56,10 @@ def reference_draw(P, n, seed):
 
 
 def reference_erm(x, y):
-    """(a_hat, min_errors, candidate_count) of one sample."""
+    """(a_hat, min_errors) of one sample."""
     n = len(x)
     if n == 0:
-        return 0.0, 0, 2
+        return 0.0, 0
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     distinct = np.nonzero(np.diff(xs) > 0)[0]
@@ -71,7 +70,7 @@ def reference_erm(x, y):
     i = np.searchsorted(xs, candidates, side="left")
     errors = plus_prefix[i] + (total_minus - (i - plus_prefix[i]))
     best = int(np.argmin(errors))
-    return float(candidates[best]), int(errors[best]), len(candidates)
+    return float(candidates[best]), int(errors[best])
 
 
 def reference_two_step(x, y, L):
@@ -81,8 +80,7 @@ def reference_two_step(x, y, L):
         a0 = 1.0 / (2.0 * m)
     elif a0 >= 1.0:
         a0 = 1.0 - 1.0 / (2.0 * m)
-    return refine_local(LabeledSample(x[m:2 * m], y[m:2 * m], seed=0),
-                        a0, L).a_hat
+    return refine_local(x[m:2 * m], y[m:2 * m], a0, L).a_hat
 
 
 REFERENCE = {
@@ -160,9 +158,9 @@ def test_erm_block_equals_reference_with_ties():
     for n in (1, 2, 3, 8, 40):
         x = rng.integers(0, 5, size=(200, n)) / 4.0
         y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, n))
-        a_hat, errors, count = erm_block(x, y)
+        a_hat, errors = erm_block(x, y)
         for k in range(len(x)):
-            assert (a_hat[k], errors[k], count[k]) == reference_erm(x[k], y[k])
+            assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
 
 
 def test_erm_block_midpoint_rounding_onto_smaller_abscissa():
@@ -171,10 +169,10 @@ def test_erm_block_midpoint_rounding_onto_smaller_abscissa():
     up = np.nextafter(1.0, 2.0)
     x = np.array([[0.5, 1.0, 1.0, up, 0.25], [1.0, up, 0.5, 0.5, 0.75]])
     y = np.array([[-1, -1, -1, 1, -1], [1, 1, -1, 1, -1]], dtype=np.int8)
-    a_hat, errors, count = erm_block(x, y)
+    a_hat, errors = erm_block(x, y)
     assert (a_hat[0], errors[0]) == (0.75, 2)
     for k in range(len(x)):
-        assert (a_hat[k], errors[k], count[k]) == reference_erm(x[k], y[k])
+        assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
 
 
 def test_two_step_block_nudges_each_row():

@@ -293,7 +293,7 @@ def test_general_loss_fuzz_never_violated():
         s = random_admissible_setup(rng)
         k = s.model.outcomes
         n = int(rng.integers(1, 4))
-        rule = [int(rng.integers(0, s.hypotheses)) for _ in range(k ** n)]
+        rule = [int(rng.integers(0, len(s.loss_p))) for _ in range(k ** n)]
         delta = float(rng.uniform(0.01, 0.49))
         _, _, holds = lemma71_check(s, n, delta, rule)
         assert holds

@@ -1,4 +1,4 @@
-"""Density-pair construction, threshold solving, metric, and posteriors."""
+"""Density-pair construction, threshold solving, local parameters, validation."""
 
 import math
 
@@ -10,7 +10,6 @@ from threshlab.errors import (
     MultipleCrossings,
     NoCrossing,
     NotTransversal,
-    ZeroMass,
 )
 from threshlab.expr import (
     Affine,
@@ -25,9 +24,7 @@ from threshlab.model import (
     builtin_model,
     builtin_models,
     local_params,
-    metric_d,
     model_from_config,
-    posterior_rho,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,6 +74,12 @@ def test_perturbed_canonical_threshold(models):
     assert q.threshold == pytest.approx(0.4779, abs=5e-4)
 
 
+def test_threshold_of_pair_vanishing_at_zero():
+    # f+ = 1.5 x^2, f- = x: both vanish at 0; crossing at 2/3
+    P = DensityPair(Monomial(1.5, 2), Monomial(1.0, 1), name="vanishing")
+    assert P.threshold == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
 def test_no_crossing_raises():
     with pytest.raises(NoCrossing):
         DensityPair(Const(0.6), Const(0.4), name="flat")
@@ -105,77 +108,6 @@ def test_threshold_invariant_under_reassociation(models):
     for fplus in variants:
         P = DensityPair(fplus, Affine(-1.0, 1.0), name="reassoc")
         assert abs(P.threshold - 0.5) <= 1e-12
-
-
-# --- metric ------------------------------------------------------------------
-
-
-def test_metric_identity(models):
-    for m in models.values():
-        assert metric_d(m, m) == 0.0
-
-
-def test_metric_canonical_tilted_vs_dense_grid(models):
-    # independent oracle: brute sup on a 10^6-point grid
-    P, Q = models["canonical"], models["tilted"]
-    x = np.linspace(0, 1, 1_000_001)
-    vsup = max(
-        np.max(np.abs(P.fplus.val(x) - Q.fplus.val(x))),
-        np.max(np.abs(P.fminus.val(x) - Q.fminus.val(x))),
-    )
-    dsup = max(
-        np.max(np.abs(P.fplus.der(x) - Q.fplus.der(x))),
-        np.max(np.abs(P.fminus.der(x) - Q.fminus.der(x))),
-    )
-    oracle = float(vsup + dsup)
-    assert oracle == pytest.approx(5.0 / 24.0 + 1.4, abs=1e-6)
-    assert metric_d(P, Q) == pytest.approx(oracle, abs=1e-6)
-
-
-def test_metric_bounds_perturbation(models):
-    from threshlab.perturbation import default_bump, perturb
-
-    eps = 0.05
-    bump = default_bump()
-    P = models["canonical"]
-    q = perturb(P, bump, eps)
-    # |f_Q - f_P| <= eps * sup(rho f) <= eps and the derivative part is
-    # bounded by ||phi'||_inf plus O(eps)
-    d = metric_d(P, q)
-    assert d <= eps + bump.dsup + 10 * eps
-
-
-def test_metric_symmetry_and_triangle(models):
-    pairs = list(models.values())
-    for P in pairs:
-        for Q in pairs:
-            assert abs(metric_d(P, Q) - metric_d(Q, P)) <= 1e-9
-            for R in pairs:
-                assert metric_d(P, Q) <= metric_d(P, R) + metric_d(R, Q) + 1e-9
-
-
-# --- posterior ---------------------------------------------------------------
-
-
-def test_posterior_balance_at_threshold(models):
-    for m in models.values():
-        rp, rm = posterior_rho(m, m.threshold)
-        assert rp == pytest.approx(0.5, abs=1e-12)
-        assert rp + rm == 1.0
-
-
-def test_posterior_canonical_quarter(models):
-    rp, rm = posterior_rho(models["canonical"], 0.25)
-    assert rp == pytest.approx(0.25, abs=1e-14)
-    assert rp + rm == 1.0
-
-
-def test_posterior_zero_mass():
-    # f+ = 1.5 x^2, f- = x: both vanish at 0; crossing at 2/3
-    P = DensityPair(Monomial(1.5, 2), Monomial(1.0, 1), name="vanishing")
-    assert P.threshold == pytest.approx(2.0 / 3.0, abs=1e-12)
-    with pytest.raises(ZeroMass):
-        posterior_rho(P, 0.0)
 
 
 # --- local params ------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threshlab.model import builtin_model, builtin_models
-from threshlab.sampling import LabeledSample, SeedPolicy, cdf_sigma, draw
+from threshlab.sampling import SeedPolicy, cdf_sigma, draw
 
 
 @pytest.fixture(scope="module")
@@ -15,13 +15,11 @@ def models():
 def test_draw_zero_points(models):
     s = draw(models["canonical"], 0, SeedPolicy(1))
     assert len(s) == 0
-    assert s.points == []
 
 
 def test_draw_shapes_and_ranges(models):
     s = draw(models["tilted"], 500, SeedPolicy(7))
     assert len(s) == 500
-    assert s.model_name == "tilted"
     assert np.all((s.x >= 0) & (s.x <= 1))
     assert set(np.unique(s.y)) <= {-1, 1}
 
@@ -103,17 +101,6 @@ def test_streams_differ_across_trials(models):
     a = draw(models["tilted"], 64, SeedPolicy(99, 0))
     b = draw(models["tilted"], 64, SeedPolicy(99, 1))
     assert not np.array_equal(a.x, b.x)
-
-
-def test_subset_and_from_points_roundtrip(models):
-    s = draw(models["canonical"], 10, SeedPolicy(5))
-    t = LabeledSample.from_points(s.points, seed=s.seed,
-                                  model_name=s.model_name)
-    assert np.allclose(t.x, s.x)
-    assert np.array_equal(t.y, s.y)
-    u = s.subset(2, 7)
-    assert len(u) == 5
-    assert np.allclose(u.x, s.x[2:7])
 
 
 def test_cdf_sigma_endpoints(models):
