@@ -93,7 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; returns its exit code, argparse's own (2 for a
+    usage error, 0 for --help) when parsing stops early."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        return stop.code
     try:
         cfg = parse_config(args.config) if args.config else {}
         return _dispatch(args, cfg)

@@ -5,11 +5,28 @@ monomial, sum, product, quotient, bump composite) rather than tabulated
 splines, so that the derivative of every density, posterior ratio, and
 perturbed density is available in closed form.  All nodes evaluate
 vectorized over numpy arrays.
+
+Every node has a `support`, a closed interval (lo, hi) outside which its
+value and derivative are exactly +0.0 or -0.0, computed once per node:
+a CosSquaredProfile of radius r has [-r, r]; a BumpComposite has
+center + eps * (its profile's support), widened by a few ulps so that it
+contains every point the profile's own test |(x - c) / eps| <= r admits;
+a Product has the intersection of its factors' supports; a Quotient has
+its numerator's; every other node, and a profile of unknown support, is
+unbounded.  A Sum evaluates each bounded term only on the points inside
+its support.  This keeps every bit: its accumulator starts at +0.0 and
+never becomes -0.0, so adding the skipped term's +-0.0 would leave it as
+it is.  (On [0, 1], where the densities are finite and f_sigma > 0, the
+skipped terms are exact zeros; far outside, a full evaluation could meet
+0 * inf or 0 / 0 where the Sum yields the other terms' value.)  A 0-d
+input evaluates every term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +44,11 @@ __all__ = [
 ]
 
 
+_UNBOUNDED = (-math.inf, math.inf)
+# outward pad of a BumpComposite's support, in ulps of its larger end
+_SUPPORT_PAD_ULPS = 4
+
+
 class Field:
     """Base class: a C^1 scalar field with exact value and derivative."""
 
@@ -35,6 +57,11 @@ class Field:
 
     def der(self, x):
         raise NotImplementedError
+
+    @cached_property
+    def support(self) -> tuple:
+        """(lo, hi): val and der are +-0.0 outside this closed interval."""
+        return _UNBOUNDED
 
     def __call__(self, x):
         return self.val(x)
@@ -118,24 +145,36 @@ class Sum(Field):
     terms: tuple
 
     def val(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            out = out + t.val(x)
-        return out
+        return _sum_terms(self.terms, x, "val")
 
     def der(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            out = out + t.der(x)
-        return out
+        return _sum_terms(self.terms, x, "der")
+
+
+def _sum_terms(terms, x, method):
+    """The sum of t.<method>(x) over the terms, each bounded term evaluated
+    only on the points of x inside its support (see the module docstring)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for t in terms:
+        lo, hi = t.support
+        if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
+            out = out + getattr(t, method)(x)
+        else:
+            inside = np.nonzero((x >= lo) & (x <= hi))
+            out[inside] += getattr(t, method)(x[inside])
+    return out
 
 
 @dataclass(frozen=True)
 class Product(Field):
     left: Field
     right: Field
+
+    @cached_property
+    def support(self) -> tuple:
+        (llo, lhi), (rlo, rhi) = self.left.support, self.right.support
+        return max(llo, rlo), min(lhi, rhi)
 
     def val(self, x):
         return self.left.val(x) * self.right.val(x)
@@ -148,6 +187,10 @@ class Product(Field):
 class Quotient(Field):
     num: Field
     den: Field
+
+    @cached_property
+    def support(self) -> tuple:
+        return self.num.support
 
     def val(self, x):
         return self.num.val(x) / self.den.val(x)
@@ -166,6 +209,10 @@ class CosSquaredProfile(Field):
     """
 
     radius: float = 1.0
+
+    @cached_property
+    def support(self) -> tuple:
+        return -self.radius, self.radius
 
     def val(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,6 +235,14 @@ class BumpComposite(Field):
     profile: Field
     center: float
     eps: float
+
+    @cached_property
+    def support(self) -> tuple:
+        if self.profile.support == _UNBOUNDED:
+            return _UNBOUNDED
+        lo, hi = sorted(self.center + self.eps * u for u in self.profile.support)
+        pad = _SUPPORT_PAD_ULPS * math.ulp(max(abs(lo), abs(hi)))
+        return lo - pad, hi + pad
 
     def val(self, x):
         x = np.asarray(x, dtype=float)

@@ -94,14 +94,20 @@ def draw_block(P: DensityPair, n: int, seeds) -> tuple:
     for row, xs in zip(x, parts):
         if xs:
             row[:] = np.concatenate(xs)[:n]
-    fsum = P.fsum(x)
-    rho_plus = np.divide(P.fplus.val(x), fsum, out=np.zeros_like(fsum),
-                         where=fsum > 0)
+    rho_plus = _rho_plus(P, x)
     v = np.empty_like(x)
     for rng, row in zip(rngs, v):
         rng.random(out=row)
     y = np.where(v < rho_plus, 1, -1).astype(np.int8)
     return x, y
+
+
+def _rho_plus(P: DensityPair, x) -> np.ndarray:
+    """rho^+ = f+ / f_sigma at x, 0 where f_sigma is 0.  f_sigma is formed
+    as f+ + f-, which is P.fsum(x) bit for bit, so f+ is evaluated once."""
+    fplus = P.fplus.val(x)
+    fsum = fplus + P.fminus.val(x)
+    return np.divide(fplus, fsum, out=np.zeros_like(fsum), where=fsum > 0)
 
 
 def sub_blocks(seeds, n: int) -> list:

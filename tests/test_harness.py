@@ -401,10 +401,8 @@ def test_cli_rejects_workers_below_one_before_any_file(workers, tmp_path,
 
 
 def test_cli_rates_has_no_L_list(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--out", str(tmp_path / "out"), "rates",
-                  "--estimators", "erm,twostep", "--L-list", "1,4"])
-    assert exc.value.code == 2
+    assert cli.main(["--out", str(tmp_path / "out"), "rates",
+                     "--estimators", "erm,twostep", "--L-list", "1,4"]) == 2
     assert "--L-list" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -415,13 +413,19 @@ def test_cli_rates_has_no_L_list(tmp_path, capsys):
     [],
 ])
 def test_cli_usage_errors_print_one_error_line(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "usage:" not in captured.out + captured.err
+
+
+def test_cli_help_returns_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["rates", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("usage: threshlab") == 2
+    assert captured.err == ""
 
 
 def test_cli_risk_curve_error_prints_nothing_to_stdout(capsys):
