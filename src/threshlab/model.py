@@ -33,6 +33,7 @@ __all__ = [
 
 _BRACKET_GRID = 2048
 _BISECT_WIDTH = 1e-14
+_BISECT_LEVELS = 6  # bisection levels evaluated per array call of the margin
 _NONNEG_GRID = 10_001
 _ENVELOPE_GRID = 4097
 _ENVELOPE_FACTOR = 1.01
@@ -51,8 +52,11 @@ class DensityPair:
     """A model: evaluable sub-densities with exact derivatives.
 
     Immutable after construction; the threshold is solved once in
-    __post_init__, and the derived sampling envelope is cached on first use,
-    so instances are safe to share across parallel workers.
+    __post_init__.  Cached per pair on first use, and pickled with it to
+    parallel workers: the sampling `envelope` and `sup_density()` (each
+    Field node of fplus and fminus caches its own `support`).
+    `perturbation.estimate_c1` is memoized on the value of (pair, bump), so
+    equal pairs share one c1.
 
     `breakpoints` lists interior x values where some derivative of the
     densities jumps (e.g. bump support edges); quadrature inserts them as
@@ -93,7 +97,12 @@ class DensityPair:
         return _ENVELOPE_FACTOR * sup
 
     def sup_density(self) -> float:
-        """Certified sup of f over both labels: grid sup plus Lipschitz pad."""
+        """Certified sup of f over both labels: grid sup plus Lipschitz pad,
+        computed once per pair."""
+        return self._sup_density
+
+    @cached_property
+    def _sup_density(self) -> float:
         x = np.linspace(0.0, 1.0, _NONNEG_GRID)
         return max(_padded_range(f.val(x), np.abs(f.der(x)), x[1] - x[0])[1]
                    for f in (self.fplus, self.fminus))
@@ -155,24 +164,55 @@ def _solve_threshold(P: DensityPair) -> float:
     if len(exact) == 1:
         a = float(x[exact[0] + 1])
     else:
-        lo, hi = float(x[flips[0]]), float(x[flips[0] + 1])
-        mlo = float(P.margin(lo))
-        while hi - lo > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            mmid = float(P.margin(mid))
-            if mmid == 0.0:
-                lo = hi = mid
-                break
-            if (mmid > 0) == (mlo > 0):
-                lo, mlo = mid, mmid
-            else:
-                hi = mid
-        a = 0.5 * (lo + hi)
+        k = flips[0]
+        a = _bisect(P, float(x[k]), float(x[k + 1]), float(m[k]))
     if float(P.margin_der(a)) <= 0.0:
         raise NotTransversal(f"{P.name}: m'({a}) <= 0 at the crossing")
     if not (0.0 < a < 1.0):
         raise NoCrossing(f"{P.name}: crossing at boundary {a}")
     return a
+
+
+def _bisect(P: DensityPair, lo: float, hi: float, mlo: float) -> float:
+    """Bisect m on [lo, hi], where m(lo) = mlo and m(hi) have opposite signs,
+    down to _BISECT_WIDTH; returns the final midpoint, or a midpoint where
+    m is exactly 0.
+
+    One array call of m evaluates the midpoint tree of the next
+    _BISECT_LEVELS levels, and the walk down it keeps the half with the
+    sign change, as bisecting one midpoint at a time would.  The midpoints
+    come from the same 0.5 * (lo + hi), so the result is bitwise that of
+    sequential bisection wherever array and scalar m agree.
+    """
+    while hi - lo > _BISECT_WIDTH:
+        mids = _midpoint_tree(lo, hi)
+        mm = P.margin(mids)
+        i = 0
+        while i < len(mids) and hi - lo > _BISECT_WIDTH:
+            mid, mmid = float(mids[i]), float(mm[i])
+            if mmid == 0.0:
+                lo = hi = mid
+                break
+            if (mmid > 0) == (mlo > 0):
+                lo, mlo, i = mid, mmid, 2 * i + 2
+            else:
+                hi, i = mid, 2 * i + 1
+    return 0.5 * (lo + hi)
+
+
+def _midpoint_tree(lo: float, hi: float):
+    """The midpoints of the next _BISECT_LEVELS bisection levels of [lo, hi]
+    in heap order: entry i splits its interval, and entries 2i + 1 and
+    2i + 2 split its left and right halves."""
+    edges = np.array([lo, hi])
+    levels = []
+    for _ in range(_BISECT_LEVELS):
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        levels.append(mids)
+        split = np.empty(2 * len(edges) - 1)
+        split[0::2], split[1::2] = edges, mids
+        edges = split
+    return np.concatenate(levels)
 
 
 def local_params(P: DensityPair) -> LocalParams:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _CHECK_TOL = 1e-10
+_C1_CACHE_SIZE = 64  # (pair, bump) entries memoized by estimate_c1
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,7 @@ def make_plan(P: DensityPair, phi: BumpProfile, delta: float, n: int) -> Perturb
         raise DeltaOutOfRange(f"delta={delta}; need 0 < delta < 1/11")
     if n < 1:
         raise ValueError("n must be >= 1")
-    fsup = P.sup_density()
-    c4 = (fsup * phi.l2sq) ** (-1.0 / 3.0)
+    c4 = _c4(P, phi)
     eps = c4 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0) * n ** (-1.0 / 3.0)
     if eps > _max_admissible_eps(P, phi):
         raise EpsTooLarge(
@@ -155,13 +156,26 @@ def perturb(P: DensityPair, phi: BumpProfile, eps: float) -> DensityPair:
     )
 
 
+def _c4(P: DensityPair, phi: BumpProfile) -> float:
+    """c4 = (sup f * ||phi||_2^2)^(-1/3), the constant of the amplitude schedule."""
+    return (P.sup_density() * phi.l2sq) ** (-1.0 / 3.0)
+
+
+@lru_cache(maxsize=_C1_CACHE_SIZE)
 def estimate_c1(P: DensityPair, phi: BumpProfile) -> float:
     """Half of the admissible constant c4 / (16 c5).
 
     c5 certifies sup |(rho_Q^+)'| over the bump neighborhood, evaluated at a
     ladder of amplitudes up to the largest admissible one; halving the bound
-    gives numerical margin against the grid estimate.
+    gives numerical margin against the grid estimate.  It depends only on
+    (P, phi), so it is memoized on their value: a sweep over n and delta
+    computes it once per pair.
     """
+    return _c4(P, phi) / (32.0 * _c5(P, phi))
+
+
+def _c5(P: DensityPair, phi: BumpProfile) -> float:
+    """Grid sup of |(rho_Q^+)'| on the widest admissible bump window."""
     a = P.threshold
     eps_max = _max_admissible_eps(P, phi)
     r = eps_max * phi.support_radius
@@ -173,9 +187,7 @@ def estimate_c1(P: DensityPair, phi: BumpProfile) -> float:
         xi = BumpComposite(profile=phi.value, center=a, eps=eps)
         rho_q_plus = (Const(1.0) + xi * rho_minus) * rho_plus
         c5 = max(c5, float(np.max(np.abs(rho_q_plus.der(window)))))
-    fsup = P.sup_density()
-    c4 = (fsup * phi.l2sq) ** (-1.0 / 3.0)
-    return c4 / (32.0 * c5)
+    return c5
 
 
 def build_certificate(P: DensityPair, phi: BumpProfile, delta: float, n: int,
