@@ -18,7 +18,6 @@ from .model import (
     local_params,
 )
 from .perturbation import (
-    BumpProfile,
     TwoPointCertificate,
     build_certificate,
     default_bump,
@@ -37,7 +36,7 @@ __all__ = [
     "clock_estimator", "erm_threshold", "refine_local", "two_step",
     "DensityPair", "LocalParams", "builtin_model", "builtin_models",
     "local_params",
-    "BumpProfile", "TwoPointCertificate", "build_certificate",
+    "TwoPointCertificate", "build_certificate",
     "default_bump", "estimate_c1", "make_plan", "perturb",
     "excess_risk", "prediction_error", "quadratic_bounds",
     "LabeledSample", "SeedPolicy", "cdf_sigma", "draw",

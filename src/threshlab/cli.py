@@ -144,8 +144,7 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "certificate":
-        rows, n0 = certificate_sweep(model, default_bump(), args.delta,
-                                     args.n_list)
+        rows, n0 = certificate_sweep(model, args.delta, args.n_list)
         for line in certificate_csv_lines(rows):
             print(line)
         print(f"# smallest n with both flags true: {n0}")

@@ -214,6 +214,11 @@ class CosSquaredProfile(Field):
     def support(self) -> tuple:
         return -self.radius, self.radius
 
+    @property
+    def l2sq(self) -> float:
+        """||phi||_2^2 = integral of cos^4(pi x / (2 r)) over [-r, r] = 3 r / 4."""
+        return 0.75 * self.radius
+
     def val(self, x):
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) <= self.radius

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .divergence import QuadratureSpec
 from .errors import ThreshlabError
 from .estimators import estimate_trials, resolve_estimator
 from .model import DensityPair, resolve_model
@@ -148,17 +147,15 @@ def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
 # --- certificate sweep --------------------------------------------------------
 
 
-def certificate_sweep(P: DensityPair, phi=None, delta: float = 0.05,
-                      n_list=(10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6),
-                      spec: QuadratureSpec = QuadratureSpec()):
-    """One certificate row per n; returns (rows, n0) where n0 is the smallest
-    n in the list with both flags true (None if never)."""
-    if phi is None:
-        phi = default_bump()
+def certificate_sweep(P: DensityPair, delta: float = 0.05,
+                      n_list=(10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)):
+    """One certificate row per n under the default bump; returns (rows, n0),
+    n0 the smallest n in the list with both flags true (None if never)."""
+    phi = default_bump()
     rows = []
     n0 = None
     for n in n_list:
-        cert = build_certificate(P, phi, delta, n, spec)
+        cert = build_certificate(P, phi, delta, n)
         rows.append({
             "model": P.name,
             "delta": delta,
@@ -249,14 +246,13 @@ def _svg(report: RateReport) -> str:
     return "\n".join(pieces)
 
 
-def emit_outputs(report: RateReport, out_dir, basename: str = "rates",
-                 svg: bool = False) -> list:
-    """Write <basename>.csv, .json, and optionally .svg; returns the paths."""
+def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
+    """Write rates.csv, rates.json, optionally rates.svg; returns the paths."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
+    csv_path = os.path.join(out_dir, "rates.csv")
     try:
         with open(csv_path, "w") as fh:
             for line in rates_csv_lines(report):
@@ -264,7 +260,7 @@ def emit_outputs(report: RateReport, out_dir, basename: str = "rates",
     except OSError as exc:
         raise ThreshlabError(f"cannot write {csv_path}: {exc}") from exc
     paths.append(csv_path)
-    json_path = os.path.join(out_dir, f"{basename}.json")
+    json_path = os.path.join(out_dir, "rates.json")
     # the statistics of a zero-trial row are NaN; JSON has no NaN, so null
     payload = {
         "schema_version": 1,
@@ -279,7 +275,7 @@ def emit_outputs(report: RateReport, out_dir, basename: str = "rates",
         fh.write("\n")
     paths.append(json_path)
     if svg:
-        svg_path = os.path.join(out_dir, f"{basename}.svg")
+        svg_path = os.path.join(out_dir, "rates.svg")
         with open(svg_path, "w") as fh:
             fh.write(_svg(report))
         paths.append(svg_path)

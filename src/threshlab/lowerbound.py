@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import QuadratureSpec, relative_entropy
+from .divergence import relative_entropy
 from .errors import InvalidModel, PremiseFails, TooLarge
 from .estimators import estimate_trials
 from .model import DensityPair
@@ -23,7 +23,6 @@ from .sampling import SeedPolicy
 __all__ = [
     "FiniteModel",
     "GeneralLossSetup",
-    "CutoffProfile",
     "finite_relative_entropy",
     "lemma21_check",
     "disjunction_check",
@@ -56,14 +55,6 @@ class FiniteModel:
     @property
     def outcomes(self) -> int:
         return len(self.p)
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """The sharp window chi = indicator of [-1, 1]."""
-
-    def __call__(self, x):
-        return np.where(np.abs(np.asarray(x, dtype=float)) <= 1.0, 1.0, 0.0)
 
 
 def finite_relative_entropy(m: FiniteModel) -> float:
@@ -103,8 +94,7 @@ class DisjunctionReport:
 
 def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
                       delta: float, estimator: str, trials: int,
-                      seed: SeedPolicy,
-                      spec: QuadratureSpec = QuadratureSpec()) -> DisjunctionReport:
+                      seed: SeedPolicy) -> DisjunctionReport:
     """Two-point disjunction: under the premises n H(P,Q) <= (1/2) log(1/(11 delta))
     and beta |a(P) - a(Q)| > 4, at least one of the chi-means must fall below
     1 - delta.  Monte Carlo estimates both means and asserts the conclusion
@@ -114,7 +104,7 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
         raise ValueError("trials must be >= 1")
     if not (0.0 < delta < 1.0 / 11.0):
         raise PremiseFails("delta", f"delta={delta} outside (0, 1/11)")
-    h = relative_entropy(P, Q, spec)
+    h = relative_entropy(P, Q)
     budget = 0.5 * math.log(1.0 / (11.0 * delta))
     if n * h > budget:
         raise PremiseFails("entropy", f"nH={n * h:.4g} > {budget:.4g}")
@@ -123,7 +113,6 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
             "separation",
             f"beta|a(P)-a(Q)|={beta * abs(P.threshold - Q.threshold):.4g} <= 4",
         )
-    chi = CutoffProfile()
     means = []
     errs = []
     for k, pair in enumerate((P, Q)):
@@ -131,7 +120,9 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
         first = seed.trial_index + k
         a_hats = estimate_trials(pair, estimator, n, seed.master_seed,
                                  range(first, first + 2 * trials, 2))
-        mean = float(np.sum(chi(beta * (a_hats - pair.threshold)))) / trials
+        # chi is the indicator of the closed window [-1, 1]
+        hits = np.count_nonzero(np.abs(beta * (a_hats - pair.threshold)) <= 1.0)
+        mean = hits / trials
         means.append(mean)
         errs.append(math.sqrt(max(mean * (1.0 - mean), 1e-12) / trials))
     holds = (means[0] < 1.0 - delta + 3.0 * errs[0]) or \

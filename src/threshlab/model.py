@@ -29,12 +29,14 @@ __all__ = [
     "builtin_model",
     "model_from_config",
     "resolve_model",
+    "nonneg_on_grid",
 ]
 
 _BRACKET_GRID = 2048
 _BISECT_WIDTH = 1e-14
 _BISECT_LEVELS = 6  # bisection levels evaluated per array call of the margin
 _NONNEG_GRID = 10_001
+_NONNEG_FLOOR = -1e-12
 _ENVELOPE_GRID = 4097
 _ENVELOPE_FACTOR = 1.01
 
@@ -115,19 +117,18 @@ class DensityPair:
         x = np.linspace(0.0, 1.0, _NONNEG_GRID)
         h = x[1] - x[0]
         for label, f in (("fplus", self.fplus), ("fminus", self.fminus)):
-            v = f.val(x)
-            gmin = float(np.min(v))
-            certified = _padded_range(v, np.abs(f.der(x)), h)[0]
+            ok, gmin = nonneg_on_grid(f)
+            certified = _padded_range(gmin, np.abs(f.der(x)), h)[0]
             report[f"nonneg_{label}"] = (
-                gmin >= -1e-12,
+                ok,
                 f"grid min {gmin:.3e}, certified lower bound {certified:.3e}",
             )
             report[f"derivative_{label}"] = (
                 check_derivative(f, avoid=self.breakpoints),
                 "symbolic vs central differences, 101 points, step 1e-5",
             )
-        total, _ = adaptive_simpson(self.fsum, 0.0, 1.0,
-                                    QuadratureSpec(tol=1e-10), self.breakpoints)
+        total, _ = adaptive_simpson(self.fsum, 0.0, 1.0, QuadratureSpec(),
+                                    self.breakpoints)
         report["normalization"] = (
             abs(total - 1.0) <= 1e-8,
             f"integral of f+ + f- = {total!r}",
@@ -137,6 +138,13 @@ class DensityPair:
             True, f"a = {self.threshold!r}",
         )
         return report
+
+
+def nonneg_on_grid(f: Field) -> tuple:
+    """(ok, gmin): f's minimum on a 10001-point grid of [0, 1] and whether it
+    is >= -1e-12, the sub-density rule of `validate` and `perturb`."""
+    gmin = float(np.min(f.val(np.linspace(0.0, 1.0, _NONNEG_GRID))))
+    return gmin >= _NONNEG_FLOOR, gmin
 
 
 def _padded_range(values, abs_der, h) -> tuple:

@@ -19,13 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import QuadratureSpec, adaptive_simpson, relative_entropy
+from .divergence import relative_entropy
 from .errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, SupportEscapes
-from .expr import BumpComposite, Const, CosSquaredProfile, Field
-from .model import DensityPair
+from .expr import BumpComposite, Const, CosSquaredProfile
+from .model import DensityPair, nonneg_on_grid
 
 __all__ = [
-    "BumpProfile",
     "PerturbationPlan",
     "TwoPointCertificate",
     "default_bump",
@@ -35,58 +34,18 @@ __all__ = [
     "build_certificate",
 ]
 
-_CHECK_TOL = 1e-10
 _C1_CACHE_SIZE = 64  # (pair, bump) entries memoized by estimate_c1
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """A compactly supported C^1 profile phi with phi(0) = 1, 0 <= phi <= 1.
-
-    l2sq and dsup cache the squared L2 norm and the sup of |phi'|.
-    """
-
-    value: Field
-    support_radius: float
-    l2sq: float
-    dsup: float
-
-    def check(self) -> bool:
-        r = self.support_radius
-        if not (0 < r <= 2):
-            return False
-        x = np.linspace(-r, r, 20001)
-        v = self.value.val(x)
-        if abs(float(self.value.val(0.0)) - 1.0) > _CHECK_TOL:
-            return False
-        if (float(np.min(v)) < -_CHECK_TOL
-                or float(np.max(v)) > 1.0 + _CHECK_TOL):
-            return False
-        # phi and phi' must vanish at the boundary (C^1 extension by zero)
-        for e in (-r, r):
-            if abs(float(self.value.val(e))) > 1e-9:
-                return False
-            if abs(float(self.value.der(e))) > 1e-9:
-                return False
-        q, _ = adaptive_simpson(lambda t: self.value.val(t) ** 2, -r, r,
-                                QuadratureSpec(tol=1e-12))
-        return abs(q - self.l2sq) <= _CHECK_TOL
-
-
-def default_bump() -> BumpProfile:
+def default_bump() -> CosSquaredProfile:
     """phi(x) = cos^2(pi x / 2) on [-1, 1]: ||phi||_2^2 = 3/4, ||phi'||_inf = pi/2."""
-    return BumpProfile(
-        value=CosSquaredProfile(radius=1.0),
-        support_radius=1.0,
-        l2sq=0.75,
-        dsup=math.pi / 2.0,
-    )
+    return CosSquaredProfile(radius=1.0)
 
 
 @dataclass(frozen=True)
 class PerturbationPlan:
     base: DensityPair
-    phi: BumpProfile
+    phi: CosSquaredProfile
     delta: float
     n: int
     eps: float
@@ -106,15 +65,16 @@ class TwoPointCertificate:
     separation_ok: bool
 
 
-def _max_admissible_eps(P: DensityPair, phi: BumpProfile) -> float:
+def _max_admissible_eps(P: DensityPair, phi: CosSquaredProfile) -> float:
     """Largest bump amplitude we are willing to certify: support stays well
     inside (0, 1) and |Xi rho| stays below 1/2, keeping f_Q positive."""
     a = P.threshold
-    room = min(a, 1.0 - a) / phi.support_radius
+    room = min(a, 1.0 - a) / phi.radius
     return 0.5 * min(room, 1.0)
 
 
-def make_plan(P: DensityPair, phi: BumpProfile, delta: float, n: int) -> PerturbationPlan:
+def make_plan(P: DensityPair, phi: CosSquaredProfile, delta: float,
+              n: int) -> PerturbationPlan:
     """Amplitude schedule eps_n = c4 |log(11 delta)|^(1/3) n^(-1/3)."""
     if not (0.0 < delta < 1.0 / 11.0):
         raise DeltaOutOfRange(f"delta={delta}; need 0 < delta < 1/11")
@@ -130,23 +90,22 @@ def make_plan(P: DensityPair, phi: BumpProfile, delta: float, n: int) -> Perturb
     return PerturbationPlan(base=P, phi=phi, delta=delta, n=n, eps=eps, c4=c4)
 
 
-def perturb(P: DensityPair, phi: BumpProfile, eps: float) -> DensityPair:
+def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
     """The perturbed pair Q with f_Q^+- = (1 +- Xi rho^-+) f^+-."""
     if eps <= 0:
         raise EpsTooLarge("eps must be positive")
     a = P.threshold
-    r = eps * phi.support_radius
+    r = eps * phi.radius
     if not (0.0 < a - r and a + r < 1.0):
         raise SupportEscapes(
             f"bump support [{a - r:.4g}, {a + r:.4g}] not inside (0, 1)"
         )
-    xi = BumpComposite(profile=phi.value, center=a, eps=eps)
+    xi = BumpComposite(profile=phi, center=a, eps=eps)
     # common correction g = Xi rho^- f^+ = Xi rho^+ f^-
     g = xi * P.fplus * P.fminus / (P.fplus + P.fminus)
     fqp = P.fplus + g
     fqm = P.fminus - g
-    x = np.linspace(0.0, 1.0, 10_001)
-    if float(np.min(fqp.val(x))) < -1e-12 or float(np.min(fqm.val(x))) < -1e-12:
+    if not (nonneg_on_grid(fqp)[0] and nonneg_on_grid(fqm)[0]):
         raise NegativeDensity(f"eps={eps} drives a sub-density negative")
     return DensityPair(
         fplus=fqp,
@@ -156,13 +115,13 @@ def perturb(P: DensityPair, phi: BumpProfile, eps: float) -> DensityPair:
     )
 
 
-def _c4(P: DensityPair, phi: BumpProfile) -> float:
+def _c4(P: DensityPair, phi: CosSquaredProfile) -> float:
     """c4 = (sup f * ||phi||_2^2)^(-1/3), the constant of the amplitude schedule."""
     return (P.sup_density() * phi.l2sq) ** (-1.0 / 3.0)
 
 
 @lru_cache(maxsize=_C1_CACHE_SIZE)
-def estimate_c1(P: DensityPair, phi: BumpProfile) -> float:
+def estimate_c1(P: DensityPair, phi: CosSquaredProfile) -> float:
     """Half of the admissible constant c4 / (16 c5).
 
     c5 certifies sup |(rho_Q^+)'| over the bump neighborhood, evaluated at a
@@ -174,29 +133,29 @@ def estimate_c1(P: DensityPair, phi: BumpProfile) -> float:
     return _c4(P, phi) / (32.0 * _c5(P, phi))
 
 
-def _c5(P: DensityPair, phi: BumpProfile) -> float:
+def _c5(P: DensityPair, phi: CosSquaredProfile) -> float:
     """Grid sup of |(rho_Q^+)'| on the widest admissible bump window."""
     a = P.threshold
     eps_max = _max_admissible_eps(P, phi)
-    r = eps_max * phi.support_radius
+    r = eps_max * phi.radius
     window = np.linspace(a - r, a + r, 4001)
     rho_plus = P.fplus / (P.fplus + P.fminus)
     rho_minus = P.fminus / (P.fplus + P.fminus)
     c5 = float(np.max(np.abs(rho_plus.der(window))))
     for eps in (eps_max, eps_max / 2, eps_max / 4, eps_max / 8):
-        xi = BumpComposite(profile=phi.value, center=a, eps=eps)
+        xi = BumpComposite(profile=phi, center=a, eps=eps)
         rho_q_plus = (Const(1.0) + xi * rho_minus) * rho_plus
         c5 = max(c5, float(np.max(np.abs(rho_q_plus.der(window)))))
     return c5
 
 
-def build_certificate(P: DensityPair, phi: BumpProfile, delta: float, n: int,
-                      spec: QuadratureSpec = QuadratureSpec()) -> TwoPointCertificate:
+def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
+                      n: int) -> TwoPointCertificate:
     """Assemble the two-point pair (P, Q_n) and verify both inequality halves:
     n H(P, Q_n) <= (1/2)|log(11 delta)| and beta_n |a(P) - a(Q_n)| > 4."""
     plan = make_plan(P, phi, delta, n)
     q = perturb(P, phi, plan.eps)
-    entropy = relative_entropy(P, q, spec)
+    entropy = relative_entropy(P, q)
     budget = 0.5 * abs(math.log(11.0 * delta))
     c1 = estimate_c1(P, phi)
     beta = n ** (1.0 / 3.0) / (c1 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0))

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _BOUNDS_GRID = 4001
+_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,7 @@ def _per_alpha(alpha, values):
     return float(out) if out.ndim == 0 else out
 
 
-def prediction_error(P: DensityPair, alpha,
-                     spec: QuadratureSpec = QuadratureSpec()):
+def prediction_error(P: DensityPair, alpha):
     """L_P(alpha) = integral of f+ on [0, alpha] plus f- on [alpha, 1].
 
     alpha is a number or an array; an array takes one quadrature call per
@@ -56,16 +56,15 @@ def prediction_error(P: DensityPair, alpha,
     """
     def values(flat):
         left, _ = integrate_intervals(P.fplus.val, np.zeros_like(flat), flat,
-                                      spec, P.breakpoints)
+                                      _SPEC, P.breakpoints)
         right, _ = integrate_intervals(P.fminus.val, flat, np.ones_like(flat),
-                                       spec, P.breakpoints)
+                                       _SPEC, P.breakpoints)
         return left + right
 
     return _per_alpha(alpha, values)
 
 
-def excess_risk(P: DensityPair, alpha,
-                spec: QuadratureSpec = QuadratureSpec()):
+def excess_risk(P: DensityPair, alpha):
     """L_P(alpha) - L_P(a(P)) = integral of m over [a(P), alpha]; nonnegative.
 
     alpha is a number or an array; an array takes one quadrature call for
@@ -75,7 +74,7 @@ def excess_risk(P: DensityPair, alpha,
 
     def values(flat):
         vals, _ = integrate_intervals(P.margin, np.minimum(a, flat),
-                                      np.maximum(a, flat), spec, P.breakpoints)
+                                      np.maximum(a, flat), _SPEC, P.breakpoints)
         return np.where(flat >= a, vals, -vals)
 
     return _per_alpha(alpha, values)

@@ -117,11 +117,10 @@ def sub_blocks(seeds, n: int) -> list:
     return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
-def cdf_sigma(P: DensityPair, x: float,
-              spec: QuadratureSpec = QuadratureSpec()) -> float:
+def cdf_sigma(P: DensityPair, x: float) -> float:
     """CDF of the X-marginal: integral of f_sigma over [0, x] (test oracle
     for draw)."""
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    val, _ = adaptive_simpson(P.fsum, 0.0, x, spec, P.breakpoints)
+    val, _ = adaptive_simpson(P.fsum, 0.0, x, QuadratureSpec(), P.breakpoints)
     return val

@@ -15,7 +15,7 @@ from threshlab import cli, model, perturbation
 from threshlab.expr import Affine, CosSquaredProfile
 from threshlab.harness import certificate_csv_lines, certificate_sweep
 from threshlab.model import DensityPair, builtin_model, builtin_models, model_from_config
-from threshlab.perturbation import BumpProfile, default_bump, estimate_c1, make_plan, perturb
+from threshlab.perturbation import default_bump, estimate_c1, make_plan, perturb
 
 DATA = Path(__file__).parent / "data"
 MODELS = ("canonical", "tilted", "curved")
@@ -55,12 +55,6 @@ def sequential_threshold(P) -> float:
 def certified_q(P, delta, n):
     phi = default_bump()
     return perturb(P, phi, make_plan(P, phi, delta, n).eps)
-
-
-def narrow_bump(radius: float) -> BumpProfile:
-    """The cos^2 bump squeezed onto [-radius, radius]."""
-    return BumpProfile(value=CosSquaredProfile(radius), support_radius=radius,
-                       l2sq=0.75 * radius, dsup=np.pi / (2.0 * radius))
 
 
 # --- k-ary bisection against the sequential solver ----------------------------
@@ -206,11 +200,11 @@ def test_narrow_bump_does_not_hit_the_default_bump_entry():
     estimate_c1.cache_clear()
     P = builtin_model("canonical")
     wide = estimate_c1(P, default_bump())
-    narrow = estimate_c1(P, narrow_bump(0.5))
+    narrow = estimate_c1(P, CosSquaredProfile(0.5))
     info = estimate_c1.cache_info()
     assert (info.hits, info.misses) == (0, 2)
     assert narrow < wide
-    assert bits(narrow) == bits(estimate_c1.__wrapped__(P, narrow_bump(0.5)))
+    assert bits(narrow) == bits(estimate_c1.__wrapped__(P, CosSquaredProfile(0.5)))
 
 
 def test_pair_with_cached_sup_pickles():

@@ -21,7 +21,6 @@ from threshlab.harness import (
     rates_csv_lines,
 )
 from threshlab.model import builtin_model, model_from_config
-from threshlab.perturbation import default_bump
 
 
 def small_config(workers=1, trials=40):
@@ -149,8 +148,8 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_empty_report_is_header_only(tmp_path):
-    emit_outputs(RateReport(rows=()), tmp_path, basename="empty")
-    assert (tmp_path / "empty.csv").read_text() == RATES_HEADER + "\n"
+    emit_outputs(RateReport(rows=()), tmp_path)
+    assert (tmp_path / "rates.csv").read_text() == RATES_HEADER + "\n"
 
 
 def test_json_payload_schema(tmp_path):
@@ -177,8 +176,7 @@ def test_svg_is_wellformed_with_one_polyline_per_series(tmp_path):
 
 def test_certificate_sweep_reports_smallest_passing_n():
     P = builtin_model("canonical")
-    rows, n0 = certificate_sweep(P, default_bump(), 0.05,
-                                 n_list=(10 ** 3, 10 ** 4))
+    rows, n0 = certificate_sweep(P, 0.05, n_list=(10 ** 3, 10 ** 4))
     assert n0 == 10 ** 3
     lines = list(certificate_csv_lines(rows))
     assert lines[0] == CERT_HEADER

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from threshlab import lowerbound
 from threshlab.errors import InvalidModel, PremiseFails, TooLarge
 from threshlab.estimators import erm_threshold
 from threshlab.lowerbound import (
-    CutoffProfile,
     DisjunctionReport,
     FiniteModel,
     GeneralLossSetup,
@@ -143,16 +143,34 @@ def test_disjunction_streams_match_per_trial_reference(cert):
     P, Q, n, trials = builtin_model("canonical"), cert.q, 10 ** 4, 50
     rep = disjunction_check(P, Q, n, cert.beta, 0.05, "erm", trials=trials,
                             seed=SeedPolicy(3, 4))
-    chi = CutoffProfile()
     means = []
     for k, pair in enumerate((P, Q)):
         hits = 0
         for t in range(trials):
             s = draw(pair, n, SeedPolicy(3, 4 + 2 * t + k))
-            hits += int(chi(cert.beta * (erm_threshold(s).a_hat - pair.threshold)))
+            err = erm_threshold(s).a_hat - pair.threshold
+            hits += int(abs(cert.beta * err) <= 1.0)
         means.append(hits / trials)
     assert (rep.chi_mean_p, rep.chi_mean_q) == tuple(means)
     assert any(means)  # some hits, so the streams are actually compared
+
+
+def test_disjunction_window_is_closed(cert, monkeypatch):
+    """chi is the indicator of [-1, 1]: with a power-of-two beta and
+    a(P) = 0.5, an estimate at a +- 1/beta is a hit and one ulp beyond is
+    not."""
+    P, beta = builtin_model("canonical"), 2.0 ** 10
+    a = P.threshold
+    assert a == 0.5
+    edges = [a + 1 / beta, a - 1 / beta]
+    beyond = [np.nextafter(edges[0], 1.0), np.nextafter(edges[1], 0.0)]
+    estimates = {P.name: np.array(edges + beyond),
+                 cert.q.name: np.full(4, cert.q.threshold)}
+    monkeypatch.setattr(lowerbound, "estimate_trials",
+                        lambda pair, *args: estimates[pair.name])
+    rep = disjunction_check(P, cert.q, 10 ** 4, beta, 0.05, "erm", trials=4,
+                            seed=SeedPolicy(0))
+    assert (rep.chi_mean_p, rep.chi_mean_q) == (0.5, 1.0)
 
 
 def test_disjunction_rejects_no_trials(cert):

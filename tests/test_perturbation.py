@@ -10,7 +10,6 @@ from threshlab.errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, Supp
 from threshlab.expr import CosSquaredProfile
 from threshlab.model import builtin_models
 from threshlab.perturbation import (
-    BumpProfile,
     build_certificate,
     default_bump,
     estimate_c1,
@@ -32,25 +31,15 @@ def bump():
     return default_bump()
 
 
-def narrow_bump(radius: float) -> BumpProfile:
-    """Same cos^2 shape squeezed onto [-radius, radius]."""
-    q, _ = adaptive_simpson(
-        lambda t: CosSquaredProfile(radius).val(t) ** 2,
-        -radius, radius, QuadratureSpec(tol=1e-13),
-    )
-    return BumpProfile(value=CosSquaredProfile(radius), support_radius=radius,
-                       l2sq=q, dsup=math.pi / (2.0 * radius))
-
-
 # --- default bump ----------------------------------------------------------------
 
 
 def test_default_bump_peak(bump):
-    assert float(bump.value.val(0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(bump.val(0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_default_bump_l2_norm_quadrature_oracle(bump):
-    q, _ = adaptive_simpson(lambda t: bump.value.val(t) ** 2,
+    q, _ = adaptive_simpson(lambda t: bump.val(t) ** 2,
                             -1.0, 1.0, QuadratureSpec(tol=1e-13))
     assert q == pytest.approx(0.75, abs=1e-11)
     assert bump.l2sq == pytest.approx(q, abs=1e-10)
@@ -58,13 +47,24 @@ def test_default_bump_l2_norm_quadrature_oracle(bump):
 
 def test_default_bump_derivative_sup(bump):
     grid = np.linspace(-1, 1, 200_001)
-    sup = float(np.max(np.abs(bump.value.der(grid))))
+    sup = float(np.max(np.abs(bump.der(grid))))
     assert sup == pytest.approx(math.pi / 2.0, abs=1e-8)
-    assert bump.dsup == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
-def test_default_bump_passes_check(bump):
-    assert bump.check()
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
+def test_cos_squared_profile_invariants(r):
+    """phi(0) = 1, 0 <= phi <= 1, phi and phi' vanish at the support edges
+    (a C^1 extension by zero), and l2sq is the integral of phi^2."""
+    phi = CosSquaredProfile(r)
+    assert float(phi.val(0.0)) == 1.0
+    v = phi.val(np.linspace(-r, r, 20001))
+    assert 0.0 <= float(np.min(v)) and float(np.max(v)) <= 1.0
+    for edge in (-r, r):
+        assert abs(float(phi.val(edge))) <= 1e-12
+        assert abs(float(phi.der(edge))) <= 1e-12
+    q, _ = adaptive_simpson(lambda t: phi.val(t) ** 2, -r, r,
+                            QuadratureSpec(tol=1e-13))
+    assert abs(phi.l2sq - q) <= 1e-11 * r
 
 
 # --- make_plan --------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_perturb_negative_density(models):
     # tall narrow spike: support [0.2, 0.8] stays inside (0,1) but the
     # multiplier (1 - Xi rho^+) drops below zero near the peak
     with pytest.raises(NegativeDensity):
-        perturb(models["canonical"], narrow_bump(0.1), 3.0)
+        perturb(models["canonical"], CosSquaredProfile(0.1), 3.0)
 
 
 # --- c1 estimate --------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_c1_positive_for_all_builtins(models, bump):
 def test_c1_decreases_for_squeezed_bump(models, bump):
     # doubling ||phi'||_inf raises c5 and lowers c1
     wide = estimate_c1(models["canonical"], bump)
-    squeezed = estimate_c1(models["canonical"], narrow_bump(0.5))
+    squeezed = estimate_c1(models["canonical"], CosSquaredProfile(0.5))
     assert squeezed < wide
 
 
