@@ -27,6 +27,8 @@ __all__ = [
 
 _P_FLOOR = 1e-30  # 0 * log 0 := 0 below this mass
 _P_MASS = 1e-12   # p above this while q below _P_FLOOR => infinite entropy
+_PANELS = 8      # base panels per piece between knots
+_MAX_DEPTH = 48  # halvings of a base panel before giving up
 # Past this many open panels at one depth the integrand is not converging;
 # splitting further would only double the work and memory per level.
 _MAX_OPEN_PANELS = 2 ** 16
@@ -34,15 +36,11 @@ _MAX_OPEN_PANELS = 2 ** 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    panels: int = 8
     tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.panels < 1 or self.max_depth < 1:
-            raise ValueError("panels and max_depth must be positive")
 
 
 def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec,
@@ -62,7 +60,7 @@ def integrate_intervals(f, a, b, spec: QuadratureSpec,
 
     f maps a float64 array to an array of the same shape.  An interval with
     b[k] <= a[k] integrates to 0.  Interior breakpoints become hard panel
-    boundaries, and each piece between them is cut into spec.panels base
+    boundaries, and each piece between them is cut into _PANELS base
     panels.  All open panels of all intervals are then halved level by
     level, with one call of f per level on the quarter points of every open
     panel.  A panel is accepted once |left + right - whole| / 15 meets its
@@ -70,7 +68,7 @@ def integrate_intervals(f, a, b, spec: QuadratureSpec,
     interval.  Each interval's accepted panels are summed on their own with
     math.fsum, so every value and error estimate equals that of a separate
     call on that interval alone.  Raises QuadratureNotConverged past
-    spec.max_depth, on a non-finite error estimate, or when one interval
+    _MAX_DEPTH, on a non-finite error estimate, or when one interval
     has more than _MAX_OPEN_PANELS panels open at once.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -88,20 +86,20 @@ def integrate_intervals(f, a, b, spec: QuadratureSpec,
         return np.zeros(count), np.zeros(count)
     plo, phi, powner = np.array(plo), np.array(phi), np.array(powner)
     # panel edges lo + i w of each piece; its last panel ends on its knot
-    w = (phi - plo) / spec.panels
-    edges = plo[:, None] + np.arange(spec.panels + 1) * w[:, None]
+    w = (phi - plo) / _PANELS
+    edges = plo[:, None] + np.arange(_PANELS + 1) * w[:, None]
     edges[:, -1] = phi
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     tol = (spec.tol * (edges[:, 1:] - edges[:, :-1])
            / (b - a)[powner][:, None]).ravel()
-    owner = np.repeat(powner, spec.panels)
+    owner = np.repeat(powner, _PANELS)
     mid = 0.5 * (lo + hi)
     m = len(lo)
     fx = f(np.concatenate((lo, mid, hi)))
     flo, fmid, fhi = fx[:m], fx[m:2 * m], fx[2 * m:]
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
     values, errors, owners = [], [], []
-    for depth in range(spec.max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
         m = len(lo)
         fx = f(np.concatenate((lm, rm)))
@@ -122,10 +120,10 @@ def integrate_intervals(f, a, b, spec: QuadratureSpec,
         if done.all():
             return _sum_by_owner(count, values, errors, owners)
         open_ = ~done
-        if depth == spec.max_depth:
+        if depth == _MAX_DEPTH:
             i = int(np.argmax(open_))
             raise QuadratureNotConverged(
-                f"max depth {spec.max_depth} hit on [{lo[i]}, {hi[i]}], "
+                f"max depth {_MAX_DEPTH} hit on [{lo[i]}, {hi[i]}], "
                 f"error estimate {err[i]:.3e}"
             )
         n_open = 2 * int(np.count_nonzero(open_))

@@ -33,7 +33,7 @@ class InvalidModel(ThreshlabError):
 # --- quadrature -------------------------------------------------------------
 
 class QuadratureNotConverged(ThreshlabError):
-    """Adaptive refinement hit max_depth before reaching the tolerance."""
+    """Adaptive refinement hit its depth limit before reaching the tolerance."""
 
 
 class InfiniteEntropy(ThreshlabError):
@@ -58,12 +58,8 @@ class SupportEscapes(ThreshlabError):
     """Bump support is not contained in (0, 1)."""
 
 
-class IntervalEscapes(ThreshlabError):
-    """Requested neighborhood of the threshold leaves (0, 1)."""
-
-
 class NotMonotoneLocal(ThreshlabError):
-    """m' is not strictly positive on the requested neighborhood."""
+    """m' is not strictly positive on the neighborhood of the threshold."""
 
 
 # --- sampling and estimation -------------------------------------------------

@@ -63,9 +63,6 @@ class Field:
         """(lo, hi): val and der are +-0.0 outside this closed interval."""
         return _UNBOUNDED
 
-    def __call__(self, x):
-        return self.val(x)
-
     # algebra -----------------------------------------------------------
 
     def __add__(self, other):

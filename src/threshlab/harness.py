@@ -285,8 +285,14 @@ def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
 # --- flat key = value config ---------------------------------------------------
 
 
+# every config key -> the model.family it applies to (None: every family)
+_CONFIG_KEYS = {"seed": None, "trials": None, "model.family": None,
+                "model.name": None, "model.base": "perturbed", "model.eps": "perturbed"}
+
+
 def parse_config(path) -> dict:
-    """Flat `key = value` text; '#' starts a comment; values stay strings."""
+    """Flat `key = value` text; '#' starts a comment; values stay strings.
+    A malformed line, an unknown key or one of another family raises."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -297,4 +303,10 @@ def parse_config(path) -> dict:
                 raise ThreshlabError(f"malformed config line: {raw.rstrip()}")
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
+    for key in out:
+        if key not in _CONFIG_KEYS:
+            raise ThreshlabError(f"unknown config key {key!r}; known keys: "
+                                 f"{', '.join(_CONFIG_KEYS)}")
+        if _CONFIG_KEYS[key] not in (None, out.get("model.family")):
+            raise ThreshlabError(f"{key} needs model.family = {_CONFIG_KEYS[key]}")
     return out

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import relative_entropy
 from .errors import InvalidModel, PremiseFails, TooLarge
 from .estimators import estimate_trials
 from .model import DensityPair
+from .perturbation import two_point_premises
 from .sampling import SeedPolicy
 
 __all__ = [
@@ -95,26 +95,22 @@ class DisjunctionReport:
 def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
                       delta: float, estimator: str, trials: int,
                       seed: SeedPolicy) -> DisjunctionReport:
-    """Two-point disjunction: under the premises n H(P,Q) <= (1/2) log(1/(11 delta))
-    and beta |a(P) - a(Q)| > 4, at least one of the chi-means must fall below
-    1 - delta.  Monte Carlo estimates both means and asserts the conclusion
-    up to 3 binomial standard errors.
+    """Two-point disjunction: under the premises n H(P,Q) <= (1/2)|log(11 delta)|
+    and beta |a(P) - a(Q)| > 4 (perturbation.two_point_premises), at least
+    one chi-mean must fall below 1 - delta.  Monte Carlo estimates both means
+    and asserts the conclusion up to 3 binomial standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0.0 < delta < 1.0 / 11.0):
         raise PremiseFails("delta", f"delta={delta} outside (0, 1/11)")
-    h = relative_entropy(P, Q)
-    budget = 0.5 * math.log(1.0 / (11.0 * delta))
+    h, budget, separation = two_point_premises(P, Q, beta, delta)
     if n * h > budget:
         raise PremiseFails("entropy", f"nH={n * h:.4g} > {budget:.4g}")
-    if beta * abs(P.threshold - Q.threshold) <= 4.0:
-        raise PremiseFails(
-            "separation",
-            f"beta|a(P)-a(Q)|={beta * abs(P.threshold - Q.threshold):.4g} <= 4",
-        )
-    means = []
-    errs = []
+    if separation <= 4.0:
+        raise PremiseFails("separation",
+                           f"beta|a(P)-a(Q)|={separation:.4g} <= 4")
+    means, errs = [], []
     for k, pair in enumerate((P, Q)):
         # P takes the even offsets from seed.trial_index, Q the odd ones
         first = seed.trial_index + k
@@ -125,8 +121,7 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
         mean = hits / trials
         means.append(mean)
         errs.append(math.sqrt(max(mean * (1.0 - mean), 1e-12) / trials))
-    holds = (means[0] < 1.0 - delta + 3.0 * errs[0]) or \
-            (means[1] < 1.0 - delta + 3.0 * errs[1])
+    holds = any(m < 1.0 - delta + 3.0 * e for m, e in zip(means, errs))
     return DisjunctionReport(
         chi_mean_p=means[0], stderr_p=errs[0],
         chi_mean_q=means[1], stderr_q=errs[1],
@@ -164,10 +159,9 @@ def lemma71_check(setup: GeneralLossSetup, n: int, delta: float,
                   decision_rule) -> tuple:
     """General-loss disjunction, verified by exact enumeration.
 
-    decision_rule maps each length-n outcome sequence (a tuple of outcome
-    indices, enumerated lexicographically) to a hypothesis index; it may be
-    a callable or an indexable of length k^n.  Returns (eP, eQ, holds) where
-    eP = E_{P^n}[capped regret under P] and the disjunction is
+    decision_rule holds one hypothesis index for each of the k^n length-n
+    outcome sequences, in lexicographic order.  Returns (eP, eQ, holds)
+    where eP = E_{P^n}[capped regret under P] and the disjunction is
     eP >= delta*gamma  OR  eQ >= (1/2 - delta)*gamma*e^(-2nH(P,Q)-1).
     """
     if not (0.0 < delta < 0.5):
@@ -175,6 +169,9 @@ def lemma71_check(setup: GeneralLossSetup, n: int, delta: float,
     k = setup.model.outcomes
     if n < 1 or k ** n > 4096:
         raise TooLarge(f"k^n = {k ** n} exceeds the enumeration cap 4096")
+    rule, hyps = list(decision_rule), len(setup.loss_p)
+    if len(rule) != k ** n or not all(h in range(hyps) for h in rule):
+        raise InvalidModel(f"decision_rule needs {k ** n} entries in range({hyps})")
     dp, dq = setup.regrets()
     gamma = setup.gamma
     if min(a + b for a, b in zip(dp, dq)) < gamma - _TOL:
@@ -182,12 +179,8 @@ def lemma71_check(setup: GeneralLossSetup, n: int, delta: float,
                            "some h has Delta_P(h) + Delta_Q(h) < gamma")
     dpg = [min(gamma, v) for v in dp]
     dqg = [min(gamma, v) for v in dq]
-    rule = decision_rule if callable(decision_rule) else \
-        (lambda s, _r=decision_rule: _r[_encode(s, k)])
-    ep = 0.0
-    eq = 0.0
-    for s in itertools.product(range(k), repeat=n):
-        h = rule(s)
+    ep = eq = 0.0
+    for s, h in zip(itertools.product(range(k), repeat=n), rule):
         prob_p = math.prod(setup.model.p[i] for i in s)
         prob_q = math.prod(setup.model.q[i] for i in s)
         ep += prob_p * dpg[h]
@@ -197,10 +190,3 @@ def lemma71_check(setup: GeneralLossSetup, n: int, delta: float,
         eq >= (0.5 - delta) * gamma * math.exp(-2.0 * n * hq - 1.0) - _TOL
     )
     return ep, eq, holds
-
-
-def _encode(seq, k: int) -> int:
-    idx = 0
-    for s in seq:
-        idx = idx * k + s
-    return idx

@@ -60,9 +60,9 @@ class DensityPair:
     `perturbation.estimate_c1` is memoized on the value of (pair, bump), so
     equal pairs share one c1.
 
-    `breakpoints` lists interior x values where some derivative of the
-    densities jumps (e.g. bump support edges); quadrature inserts them as
-    mandatory panel boundaries.
+    `name` has no comma or line break (it lands in unquoted CSV cells).
+    `breakpoints` lists interior x where some derivative of the densities
+    jumps (bump support edges); quadrature makes them panel boundaries.
     """
 
     fplus: Field
@@ -72,6 +72,8 @@ class DensityPair:
     threshold: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        if any(c in self.name for c in ",\r\n"):
+            raise InvalidModel(f"name {self.name!r} contains a comma or line break")
         object.__setattr__(self, "threshold", _solve_threshold(self))
 
     # convenience evaluators ------------------------------------------------
@@ -272,9 +274,8 @@ def builtin_models() -> list:
 def model_from_config(cfg: dict) -> DensityPair:
     """Build a model from flat `key = value` config entries.
 
-    Recognized keys: model.family (required), model.name (optional label;
-    no comma or line break, since it lands in unquoted CSV cells), and for
-    family "perturbed": model.base, model.eps.
+    Recognized keys: model.family (required), model.name (optional label)
+    and, for family "perturbed", model.base and model.eps.
     """
     family = cfg.get("model.family")
     if family is None:
@@ -287,11 +288,8 @@ def model_from_config(cfg: dict) -> DensityPair:
         pair = perturb(base, default_bump(), eps)
     else:
         pair = builtin_model(family)
-    name = str(cfg.get("model.name") or "")
-    if any(c in name for c in ",\r\n"):
-        raise InvalidModel(f"model.name {name!r} contains a comma or line break")
-    if name:
-        pair = replace(pair, name=name)
+    if cfg.get("model.name"):
+        pair = replace(pair, name=cfg["model.name"])
     return pair
 
 

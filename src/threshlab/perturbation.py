@@ -32,6 +32,7 @@ __all__ = [
     "perturb",
     "estimate_c1",
     "build_certificate",
+    "two_point_premises",
 ]
 
 _C1_CACHE_SIZE = 64  # (pair, bump) entries memoized by estimate_c1
@@ -82,11 +83,10 @@ def make_plan(P: DensityPair, phi: CosSquaredProfile, delta: float,
         raise ValueError("n must be >= 1")
     c4 = _c4(P, phi)
     eps = c4 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0) * n ** (-1.0 / 3.0)
-    if eps > _max_admissible_eps(P, phi):
-        raise EpsTooLarge(
-            f"eps={eps:.4g} exceeds the admissible amplitude "
-            f"{_max_admissible_eps(P, phi):.4g} for {P.name}"
-        )
+    eps_max = _max_admissible_eps(P, phi)
+    if eps > eps_max:
+        raise EpsTooLarge(f"eps={eps:.4g} exceeds the admissible amplitude "
+                          f"{eps_max:.4g} for {P.name}")
     return PerturbationPlan(base=P, phi=phi, delta=delta, n=n, eps=eps, c4=c4)
 
 
@@ -149,17 +149,24 @@ def _c5(P: DensityPair, phi: CosSquaredProfile) -> float:
     return c5
 
 
+def two_point_premises(P: DensityPair, Q: DensityPair, beta: float,
+                       delta: float) -> tuple:
+    """(H, budget, separation) for the two-point premises, the one rule of
+    build_certificate and lowerbound.disjunction_check:
+    n H(P, Q) <= budget = (1/2)|log(11 delta)| and beta |a(P) - a(Q)| > 4."""
+    separation = beta * abs(P.threshold - Q.threshold)
+    return relative_entropy(P, Q), 0.5 * abs(math.log(11.0 * delta)), separation
+
+
 def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
                       n: int) -> TwoPointCertificate:
     """Assemble the two-point pair (P, Q_n) and verify both inequality halves:
     n H(P, Q_n) <= (1/2)|log(11 delta)| and beta_n |a(P) - a(Q_n)| > 4."""
     plan = make_plan(P, phi, delta, n)
     q = perturb(P, phi, plan.eps)
-    entropy = relative_entropy(P, q)
-    budget = 0.5 * abs(math.log(11.0 * delta))
     c1 = estimate_c1(P, phi)
     beta = n ** (1.0 / 3.0) / (c1 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0))
-    separation = beta * abs(P.threshold - q.threshold)
+    entropy, budget, separation = two_point_premises(P, q, beta, delta)
     return TwoPointCertificate(
         plan=plan,
         q=q,

@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .divergence import QuadratureSpec, integrate_intervals
-from .errors import IntervalEscapes, NotMonotoneLocal
+from .errors import NotMonotoneLocal
 from .model import DensityPair
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "prediction_error",
     "excess_risk",
     "quadratic_bounds",
-    "default_eps_nbhd",
 ]
 
 _BOUNDS_GRID = 4001
@@ -80,22 +79,11 @@ def excess_risk(P: DensityPair, alpha):
     return _per_alpha(alpha, values)
 
 
-def default_eps_nbhd(P: DensityPair) -> float:
-    """Half the distance from a(P) to the nearer endpoint of (0, 1)."""
+def quadratic_bounds(P: DensityPair) -> QuadraticBounds:
+    """c3 = (1/2) inf m' on [a - eps, a + eps] with eps = (1/2) min(a, 1 - a),
+    c10 = (1/2) sup |m'| on [0, 1], c9 = c3 eps^2."""
     a = P.threshold
-    return 0.5 * min(a, 1.0 - a)
-
-
-def quadratic_bounds(P: DensityPair,
-                     eps_nbhd: float | None = None) -> QuadraticBounds:
-    """c3 = (1/2) inf m' near a(P), c10 = (1/2) sup |m'| on [0, 1], c9 = c3 eps^2."""
-    if eps_nbhd is None:
-        eps_nbhd = default_eps_nbhd(P)
-    a = P.threshold
-    if not (0.0 < a - eps_nbhd and a + eps_nbhd < 1.0):
-        raise IntervalEscapes(
-            f"[{a - eps_nbhd}, {a + eps_nbhd}] not inside (0, 1)"
-        )
+    eps_nbhd = 0.5 * min(a, 1.0 - a)
     local = np.linspace(a - eps_nbhd, a + eps_nbhd, _BOUNDS_GRID)
     c3 = 0.5 * float(np.min(P.margin_der(local)))
     if c3 <= 0.0:

@@ -7,7 +7,6 @@ test is self-contained and states its tolerance inline.
 import math
 
 import numpy as np
-import pytest
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson, relative_entropy
 from threshlab.estimators import erm_threshold, estimate_trials
@@ -23,7 +22,6 @@ from threshlab.model import builtin_model, builtin_models
 from threshlab.perturbation import (
     build_certificate,
     default_bump,
-    estimate_c1,
     make_plan,
     perturb,
 )

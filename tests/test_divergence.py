@@ -6,15 +6,17 @@ import time
 import numpy as np
 import pytest
 
+from threshlab import divergence
 from threshlab.divergence import (
-    _MAX_OPEN_PANELS,
+    _MAX_DEPTH,
+    _PANELS,
     QuadratureSpec,
     adaptive_simpson,
     integrate_intervals,
     relative_entropy,
 )
 from threshlab.errors import InfiniteEntropy, QuadratureNotConverged
-from threshlab.expr import Affine, BumpComposite, Const, CosSquaredProfile
+from threshlab.expr import Affine, BumpComposite, CosSquaredProfile
 from threshlab.model import DensityPair, builtin_models
 from threshlab.perturbation import build_certificate, default_bump, perturb
 
@@ -44,10 +46,15 @@ def test_adaptive_simpson_respects_breakpoints():
     assert val == pytest.approx(exact, abs=1e-12)
 
 
+def _step(x):
+    """A jump at 0.37, not a breakpoint: one panel straddles it at every
+    depth, and its error estimate never drops below a tiny tol."""
+    return np.where(x < 0.37, 0.0, 1.0)
+
+
 def test_adaptive_simpson_raises_at_max_depth():
-    with pytest.raises(QuadratureNotConverged):
-        adaptive_simpson(lambda x: np.sqrt(abs(x - 0.37)), 0.0, 1.0,
-                         QuadratureSpec(tol=1e-15, max_depth=3))
+    with pytest.raises(QuadratureNotConverged, match=f"max depth {_MAX_DEPTH}"):
+        adaptive_simpson(_step, 0.0, 1.0, QuadratureSpec(tol=1e-19))
 
 
 # --- reference: recursive scalar Simpson -----------------------------------------
@@ -83,8 +90,8 @@ def reference_simpson(f, a, b, spec, breakpoints=()):
     knots = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     edges = []
     for lo, hi in zip(knots[:-1], knots[1:]):
-        w = (hi - lo) / spec.panels
-        edges.extend(lo + i * w for i in range(spec.panels))
+        w = (hi - lo) / _PANELS
+        edges.extend(lo + i * w for i in range(_PANELS))
     edges.append(b)
     total = 0.0
     err = 0.0
@@ -92,7 +99,7 @@ def reference_simpson(f, a, b, spec, breakpoints=()):
         fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
         whole = _ref_simpson(fa, fm, fb, hi - lo)
         tol = spec.tol * (hi - lo) / (b - a)
-        v, e = _ref_adapt(f, lo, hi, fa, fm, fb, whole, tol, 0, spec.max_depth)
+        v, e = _ref_adapt(f, lo, hi, fa, fm, fb, whole, tol, 0, _MAX_DEPTH)
         total += v
         err += e
     return total, err
@@ -135,7 +142,7 @@ def test_adaptive_simpson_matches_recursive_reference(f, breakpoints):
     assert abs(val - ref_val) <= 1e-14
     assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-30)
     assert new.points == ref.points
-    assert new.calls <= spec.max_depth + 2
+    assert new.calls <= _MAX_DEPTH + 2
 
 
 def test_adaptive_simpson_one_call_per_level():
@@ -144,12 +151,11 @@ def test_adaptive_simpson_one_call_per_level():
     f = Counted(lambda x: np.abs(x - 0.37))
     val, _ = adaptive_simpson(f, 0.0, 1.0, spec)
     assert val == pytest.approx((0.37 ** 2 + 0.63 ** 2) / 2, abs=1e-8)
-    assert 3 <= f.calls <= spec.max_depth + 2
-    shallow = QuadratureSpec(tol=1e-15, max_depth=6)
+    assert 3 <= f.calls <= _MAX_DEPTH + 2
     g = Counted(lambda x: np.sqrt(np.abs(x - 0.37)))
     with pytest.raises(QuadratureNotConverged):
-        adaptive_simpson(g, 0.0, 1.0, shallow)
-    assert g.calls == shallow.max_depth + 2
+        adaptive_simpson(g, 0.0, 1.0, QuadratureSpec(tol=1e-15))
+    assert g.calls == _MAX_DEPTH + 2
 
 
 @pytest.mark.parametrize("f, tol", [
@@ -201,7 +207,7 @@ def test_integrate_intervals_equals_one_call_per_interval(f, breakpoints, a):
     assert _bits(values) == _bits([v for v, _ in one])
     assert _bits(errors) == _bits([e for _, e in one])
     assert values[0] == errors[0] == values[1] == errors[1] == 0.0
-    assert counted.calls <= spec.max_depth + 2
+    assert counted.calls <= _MAX_DEPTH + 2
 
 
 def test_integrate_intervals_empty_input_calls_nothing():
@@ -218,22 +224,27 @@ def test_integrate_intervals_raises_for_any_interval():
     with pytest.raises(QuadratureNotConverged, match="non-finite"):
         integrate_intervals(nan_right, [0.0, 0.1, 0.6], [0.2, 0.3, 0.9], spec)
     with pytest.raises(QuadratureNotConverged, match="max depth"):
-        integrate_intervals(lambda x: np.sqrt(np.abs(x - 0.37)),
-                            [0.0, 0.5], [0.4, 1.0],
-                            QuadratureSpec(tol=1e-15, max_depth=3))
+        integrate_intervals(_step, [0.5, 0.0], [0.9, 0.4],
+                            QuadratureSpec(tol=1e-19))
     with pytest.raises(QuadratureNotConverged, match="over the limit"):
         integrate_intervals(
             lambda x: np.exp(x) * np.sin(7 * x) + 1 / (1.1 + x),
             [0.5, 0.0], [0.6, 1.0], QuadratureSpec(tol=1e-19))
 
 
-def test_open_panel_limit_is_per_interval():
-    # each interval alone stays under the limit; together they exceed it
-    spec = QuadratureSpec(panels=_MAX_OPEN_PANELS // 4, tol=1e-300,
-                          max_depth=1)
+def test_open_panel_limit_is_per_interval(monkeypatch):
+    # at depth 1 each interval opens 2 * 8 = 16 panels, the three together
+    # 48: a limit of 40 stops all three but none alone
+    monkeypatch.setattr(divergence, "_MAX_OPEN_PANELS", 40)
+    monkeypatch.setattr(divergence, "_MAX_DEPTH", 1)
+    spec = QuadratureSpec(tol=1e-300)
     f = lambda x: np.sin(1000.0 * x)
-    with pytest.raises(QuadratureNotConverged, match="max depth"):
+    with pytest.raises(QuadratureNotConverged, match="max depth 1"):
         integrate_intervals(f, [0.0, 0.5, 0.25], [0.5, 1.0, 0.75], spec)
+    # one interval with 3 * 8 base panels opens 48 at once and is stopped
+    monkeypatch.setattr(divergence, "_PANELS", 3 * _PANELS)
+    with pytest.raises(QuadratureNotConverged, match="48 panels open at depth 1"):
+        integrate_intervals(f, [0.0], [1.0], spec)
 
 
 # --- relative entropy ----------------------------------------------------------

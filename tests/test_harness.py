@@ -3,7 +3,6 @@
 import json
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from threshlab import cli, harness
@@ -12,7 +11,6 @@ from threshlab.harness import (
     RATES_HEADER,
     ExperimentConfig,
     RateReport,
-    RateRow,
     certificate_csv_lines,
     certificate_sweep,
     emit_outputs,
@@ -198,6 +196,25 @@ def test_parse_config_comments_and_whitespace(tmp_path):
     )
     cfg = parse_config(path)
     assert cfg == {"model.family": "canonical", "trials": "12", "seed": "7"}
+
+
+@pytest.mark.parametrize("text, word", [
+    pytest.param("trails = 5\n", "unknown config key 'trails'", id="misspelt"),
+    pytest.param("model.family = canonical\nmodel.name = a,b\n",
+                 "name 'a,b' contains a comma", id="comma-in-name"),
+    pytest.param("model.family = canonical\nmodel.eps = 0.1\n",
+                 "model.eps needs model.family = perturbed", id="eps-canonical"),
+    pytest.param("model.base = tilted\n",
+                 "model.base needs model.family = perturbed", id="base-no-family"),
+])
+def test_cli_rejects_bad_config(text, word, tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), "validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {word}")
 
 
 def test_parse_config_rejects_malformed_line(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threshlab import lowerbound
+from threshlab import lowerbound, perturbation
 from threshlab.errors import InvalidModel, PremiseFails, TooLarge
 from threshlab.estimators import erm_threshold
 from threshlab.lowerbound import (
@@ -18,7 +18,11 @@ from threshlab.lowerbound import (
     lemma71_check,
 )
 from threshlab.model import builtin_model
-from threshlab.perturbation import build_certificate, default_bump
+from threshlab.perturbation import (
+    build_certificate,
+    default_bump,
+    two_point_premises,
+)
 from threshlab.sampling import SeedPolicy, draw
 
 
@@ -207,9 +211,43 @@ def test_disjunction_separation_guard(cert):
 def test_entropy_budget_monotone_in_delta():
     # smaller delta leaves a larger admissible n H, so any pair accepted at
     # some delta is accepted at every smaller delta
-    budgets = [0.5 * math.log(1.0 / (11.0 * d))
+    budgets = [0.5 * abs(math.log(11.0 * d))
                for d in (0.09, 0.05, 0.02, 0.01, 0.001)]
     assert budgets == sorted(budgets)
+
+
+def test_two_point_premises_are_the_certificate_fields(cert):
+    P = builtin_model("canonical")
+    assert two_point_premises(P, cert.q, cert.beta, 0.05) == \
+        (cert.entropy, cert.entropy_budget, cert.separation)
+
+
+def test_certificate_and_disjunction_share_the_entropy_budget(monkeypatch):
+    """At delta = 0.01, (1/2) log(1/(11 delta)) is one ulp above
+    (1/2)|log(11 delta)|.  With n H on the larger value the certificate and
+    the disjunction both reject the entropy premise; on the smaller, both
+    accept it."""
+    delta, n = 0.01, 2 ** 14  # n H is exact for a power-of-two n
+    budget = 0.5 * abs(math.log(11.0 * delta))
+    above = 0.5 * math.log(1.0 / (11.0 * delta))
+    assert above == math.nextafter(budget, math.inf)
+    P = builtin_model("canonical")
+    monkeypatch.setattr(lowerbound, "estimate_trials",
+                        lambda pair, *args: np.full(2, pair.threshold))
+    for nh, ok in ((above, False), (budget, True)):
+        monkeypatch.setattr(perturbation, "relative_entropy",
+                            lambda P, Q, h=nh / n: h)
+        cert = build_certificate(P, default_bump(), delta, n)
+        assert n * cert.entropy == nh
+        assert cert.entropy_ok is ok and cert.separation_ok
+        run = lambda: disjunction_check(P, cert.q, n, cert.beta, delta, "erm",
+                                        trials=2, seed=SeedPolicy(0))
+        if ok:
+            assert isinstance(run(), DisjunctionReport)
+        else:
+            with pytest.raises(PremiseFails) as exc:
+                run()
+            assert exc.value.which == "entropy"
 
 
 # --- general-loss disjunction ---------------------------------------------------------
@@ -251,14 +289,30 @@ def test_two_hypothesis_both_rules():
         assert holds
 
 
-def test_callable_and_indexable_rules_agree():
+def test_rule_table_is_lexicographic():
+    # n = 2 over k = 2 outcomes: entry 2 * s0 + s1 decides (s0, s1)
     m = FiniteModel(p=(0.6, 0.4), q=(0.3, 0.7))
     s = GeneralLossSetup(model=m, loss_p=(0.0, 1.0), loss_q=(1.0, 0.0),
                          gamma=1.0)
-    table = [0, 1, 1, 0]  # lexicographic over the 4 length-2 sequences
-    as_callable = lambda seq: table[seq[0] * 2 + seq[1]]
-    assert lemma71_check(s, 2, 0.2, table) == \
-        lemma71_check(s, 2, 0.2, as_callable)
+    ep, eq, _ = lemma71_check(s, 2, 0.2, [0, 1, 1, 0])
+    # regret 1 under P where h = 1: sequences (0, 1) and (1, 0)
+    assert ep == pytest.approx(2 * 0.6 * 0.4, abs=1e-15)
+    # regret 1 under Q where h = 0: sequences (0, 0) and (1, 1)
+    assert eq == pytest.approx(0.3 ** 2 + 0.7 ** 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("rule", [
+    pytest.param([-1, 0], id="negative"),
+    pytest.param([0, 2], id="past-last-hypothesis"),
+    pytest.param([0], id="short"),
+    pytest.param([0, 1, 0], id="long"),
+])
+def test_rule_table_is_checked(rule):
+    m = FiniteModel(p=(0.5, 0.5), q=(0.5, 0.5))
+    s = GeneralLossSetup(model=m, loss_p=(0.0, 1.0), loss_q=(1.0, 0.0),
+                         gamma=1.0)
+    with pytest.raises(InvalidModel, match="decision_rule"):
+        lemma71_check(s, 1, 0.2, rule)
 
 
 def test_enumeration_cap():
@@ -266,7 +320,7 @@ def test_enumeration_cap():
     s = GeneralLossSetup(model=m, loss_p=(0.0, 1.0), loss_q=(1.0, 0.0),
                          gamma=1.0)
     with pytest.raises(TooLarge):
-        lemma71_check(s, 7, 0.2, lambda seq: 0)
+        lemma71_check(s, 7, 0.2, [0] * 4 ** 7)
 
 
 def test_premise_guard_on_regret_gap():

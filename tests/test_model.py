@@ -1,6 +1,7 @@
 """Density-pair construction, threshold solving, local parameters, validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ def test_model_from_config_name_relabels_only():
 def test_model_from_config_rejects_csv_breaking_name(name):
     with pytest.raises(InvalidModel):
         model_from_config({"model.family": "canonical", "model.name": name})
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+def test_density_pair_rejects_csv_breaking_name(name):
+    # a pair built in Python, and one renamed with dataclasses.replace
+    with pytest.raises(InvalidModel, match="comma or line break"):
+        DensityPair(Affine(1.0, 0.0), Affine(-1.0, 1.0), name=name)
+    with pytest.raises(InvalidModel, match="comma or line break"):
+        replace(builtin_model("canonical"), name=name)
+
 
 
 def test_cos_profile_is_c1_at_boundary():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threshlab.divergence import QuadratureSpec, adaptive_simpson, relative_entropy
+from threshlab.divergence import QuadratureSpec, adaptive_simpson
 from threshlab.errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, SupportEscapes
 from threshlab.expr import CosSquaredProfile
 from threshlab.model import builtin_models

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson
-from threshlab.errors import IntervalEscapes, NotMonotoneLocal
+from threshlab.errors import NotMonotoneLocal
 from threshlab.model import builtin_models
-from threshlab.risk import (
-    default_eps_nbhd,
-    excess_risk,
-    prediction_error,
-    quadratic_bounds,
-)
+from threshlab.risk import excess_risk, prediction_error, quadratic_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -139,18 +134,23 @@ def test_margin_sign_matches_side_of_threshold(models):
 
 
 def test_bounds_canonical_constants(models):
-    for eps in (0.1, 0.25, 0.4):
-        qb = quadratic_bounds(models["canonical"], eps)
-        assert qb.c3 == pytest.approx(1.0, abs=1e-12)
-        assert qb.c10 == pytest.approx(1.0, abs=1e-12)
-        assert qb.c9 == pytest.approx(eps ** 2, abs=1e-12)
+    # a = 1/2, so eps = 1/4
+    qb = quadratic_bounds(models["canonical"])
+    assert qb.eps_nbhd == 0.25
+    assert qb.c3 == pytest.approx(1.0, abs=1e-12)
+    assert qb.c10 == pytest.approx(1.0, abs=1e-12)
+    assert qb.c9 == pytest.approx(0.25 ** 2, abs=1e-12)
 
 
 def test_bounds_tilted_left_endpoint(models):
-    qb = quadratic_bounds(models["tilted"], 0.1)
-    expect = 0.5 * (2.4 * (GOLDEN - 0.1) + 1.2)
+    # m' = 2.4 x + 1.2 grows, so c3 is half its value at a - eps, where
+    # eps = (1 - a) / 2 with a = GOLDEN
+    qb = quadratic_bounds(models["tilted"])
+    eps = 0.5 * (1.0 - GOLDEN)
+    assert qb.eps_nbhd == pytest.approx(eps, rel=1e-12)
+    expect = 0.5 * (2.4 * (GOLDEN - eps) + 1.2)
     assert qb.c3 == pytest.approx(expect, rel=1e-6)
-    assert qb.c3 == pytest.approx(1.2217, abs=5e-4)
+    assert qb.c3 == pytest.approx(1.1125, abs=5e-4)
 
 
 def test_bounds_invariants(models):
@@ -158,7 +158,8 @@ def test_bounds_invariants(models):
         qb = quadratic_bounds(P)
         assert 0 < qb.c3 <= qb.c10
         assert qb.c9 == pytest.approx(qb.c3 * qb.eps_nbhd ** 2, rel=1e-14)
-        assert qb.eps_nbhd == pytest.approx(default_eps_nbhd(P), rel=1e-14)
+        a = P.threshold
+        assert qb.eps_nbhd == 0.5 * min(a, 1.0 - a)
 
 
 def test_sandwich_on_alpha_grid(models):
@@ -175,29 +176,40 @@ def test_sandwich_on_alpha_grid(models):
 
 def test_sandwich_tight_for_canonical(models):
     # m' is constant, so both bounds meet the excess exactly near a
-    qb = quadratic_bounds(models["canonical"], 0.2)
+    qb = quadratic_bounds(models["canonical"])
     for alpha in np.linspace(0.3, 0.7, 9):
         e = excess_risk(models["canonical"], float(alpha))
         assert e == pytest.approx(qb.c3 * (0.5 - alpha) ** 2, abs=1e-10)
         assert e == pytest.approx(qb.c10 * (0.5 - alpha) ** 2, abs=1e-10)
 
 
-def test_bounds_interval_escape(models):
-    with pytest.raises(IntervalEscapes):
-        quadratic_bounds(models["canonical"], 0.6)
-
-
 def test_bounds_not_monotone():
-    from threshlab.expr import Affine, Const, Monomial
+    from threshlab.expr import Const, Monomial
     from threshlab.model import DensityPair
 
     # m(t) = 0.1 (t - 5 t^2 + 7 t^3) with t = x - 1/2: single transversal
-    # zero at t = 0 but m' < 0 on (1/7, 1/3), inside the 0.2-window
+    # zero at t = 0 but m' < 0 on (1/7, 1/3), inside the window |t| <= 1/4
     fplus = Const(0.5) + Monomial(0.7, 3) + Monomial(-1.55, 2) + \
         Monomial(1.125, 1) + Const(-0.2625)
     P = DensityPair(fplus, Const(0.5), name="cubic-dip")
     assert P.threshold == pytest.approx(0.5, abs=1e-10)
     with pytest.raises(NotMonotoneLocal):
-        quadratic_bounds(P, 0.2)
-    # a narrow window avoids the dip and succeeds
-    assert quadratic_bounds(P, 0.05).c3 > 0
+        quadratic_bounds(P)
+
+
+def test_bounds_dip_outside_window():
+    from threshlab.expr import Affine, Const
+    from threshlab.model import DensityPair
+
+    # m(t) = c (t - (35/12) t^2 + (25/9) t^3) with t = x - 1/2 has
+    # m' = c (1 - (35/6) t + (25/3) t^2) < 0 on (0.3, 0.4), outside the
+    # window |t| <= 1/4, where m' is least at t = 1/4: c / 16
+    c = 0.1
+    t = Affine(1.0, -0.5)
+    m = c * (t - (35.0 / 12.0) * t * t + (25.0 / 9.0) * t * t * t)
+    P = DensityPair(Const(0.5) + m, Const(0.5), name="outer-dip")
+    assert P.threshold == 0.5
+    qb = quadratic_bounds(P)
+    assert qb.c3 == pytest.approx(0.5 * c / 16.0, rel=1e-9)
+    # c10 still reads the whole of [0, 1], where m' dips below 0
+    assert float(P.margin_der(0.85)) < 0.0 < qb.c3 <= qb.c10
