@@ -20,6 +20,11 @@ it is.  (On [0, 1], where the densities are finite and f_sigma > 0, the
 skipped terms are exact zeros; far outside, a full evaluation could meet
 0 * inf or 0 / 0 where the Sum yields the other terms' value.)  A 0-d
 input evaluates every term.
+
+`jet(x)` is (val(x), der(x)) from one walk of the tree by the same formulas
+and support rule: a leaf's jet calls its `val` and `der`, and any other
+node's `der(x)` is `jet(x)[1]`.  Jets memoize per (node, input array), for
+one call or across the calls given one memo: a shared subtree is walked once.
 """
 
 from __future__ import annotations
@@ -50,13 +55,21 @@ _SUPPORT_PAD_ULPS = 4
 
 
 class Field:
-    """Base class: a C^1 scalar field with exact value and derivative."""
-
-    def val(self, x):
-        raise NotImplementedError
+    """A C^1 scalar field: subclasses define val, and der (a leaf) or _jet."""
 
     def der(self, x):
-        raise NotImplementedError
+        return self.jet(x)[1]
+
+    def _jet(self, x, memo):
+        return self.val(x), self.der(x)
+
+    def jet(self, x, memo=None) -> tuple:
+        """(val(x), der(x)), kept in `memo` (module docstring); val never memoizes."""
+        x, memo = np.asarray(x, dtype=float), {} if memo is None else memo
+        key = id(self), id(x)
+        if key not in memo:  # the entry holds x, so its id stays unique
+            memo[key] = x, self._jet(x, memo)
+        return memo[key][1]
 
     @cached_property
     def support(self) -> tuple:
@@ -142,25 +155,30 @@ class Sum(Field):
     terms: tuple
 
     def val(self, x):
-        return _sum_terms(self.terms, x, "val")
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for t in self.terms:
+            lo, hi = t.support
+            if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
+                out = out + t.val(x)
+            else:
+                inside = np.nonzero((x >= lo) & (x <= hi))
+                out[inside] += t.val(x[inside])
+        return out
 
-    def der(self, x):
-        return _sum_terms(self.terms, x, "der")
-
-
-def _sum_terms(terms, x, method):
-    """The sum of t.<method>(x) over the terms, each bounded term evaluated
-    only on the points of x inside its support (see the module docstring)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for t in terms:
-        lo, hi = t.support
-        if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
-            out = out + getattr(t, method)(x)
-        else:
-            inside = np.nonzero((x >= lo) & (x <= hi))
-            out[inside] += getattr(t, method)(x[inside])
-    return out
+    def _jet(self, x, memo):
+        val, der = np.zeros(x.shape), np.zeros(x.shape)
+        for t in self.terms:
+            lo, hi = t.support
+            if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
+                v, d = t.jet(x, memo)
+                val, der = val + v, der + d
+            else:
+                inside = np.nonzero((x >= lo) & (x <= hi))
+                v, d = t.jet(x[inside], memo)
+                val[inside] += v
+                der[inside] += d
+        return val, der
 
 
 @dataclass(frozen=True)
@@ -176,8 +194,9 @@ class Product(Field):
     def val(self, x):
         return self.left.val(x) * self.right.val(x)
 
-    def der(self, x):
-        return self.left.der(x) * self.right.val(x) + self.left.val(x) * self.right.der(x)
+    def _jet(self, x, memo):
+        (lv, ld), (rv, rd) = self.left.jet(x, memo), self.right.jet(x, memo)
+        return lv * rv, ld * rv + lv * rd
 
 
 @dataclass(frozen=True)
@@ -192,9 +211,9 @@ class Quotient(Field):
     def val(self, x):
         return self.num.val(x) / self.den.val(x)
 
-    def der(self, x):
-        n, d = self.num.val(x), self.den.val(x)
-        return (self.num.der(x) * d - n * self.den.der(x)) / (d * d)
+    def _jet(self, x, memo):
+        (nv, nd), (dv, dd) = self.num.jet(x, memo), self.den.jet(x, memo)
+        return nv / dv, (nd * dv - nv * dd) / (dv * dv)
 
 
 @dataclass(frozen=True)
@@ -250,9 +269,9 @@ class BumpComposite(Field):
         x = np.asarray(x, dtype=float)
         return self.eps * self.profile.val((x - self.center) / self.eps)
 
-    def der(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.profile.der((x - self.center) / self.eps)
+    def _jet(self, x, memo):
+        pv, pd = self.profile.jet((x - self.center) / self.eps, memo)
+        return self.eps * pv, pd
 
 
 _FD_POINTS = 101

@@ -106,6 +106,7 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     do not depend on the worker count or on which block finishes first.
     """
     P = resolve_model(cfg.model)
+    P.envelope  # cached on P before the jobs pickle it, not once per job
     cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
     starts = range(0, cfg.trials, chunk)
@@ -292,7 +293,7 @@ _CONFIG_KEYS = {"seed": None, "trials": None, "model.family": None,
 
 def parse_config(path) -> dict:
     """Flat `key = value` text; '#' starts a comment; values stay strings.
-    A malformed line, an unknown key or one of another family raises."""
+    A malformed line, a repeated or unknown key, or another family's raises."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -301,8 +302,10 @@ def parse_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ThreshlabError(f"malformed config line: {raw.rstrip()}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in out:
+                raise ThreshlabError(f"repeated config key {key!r}")
+            out[key] = value
     for key in out:
         if key not in _CONFIG_KEYS:
             raise ThreshlabError(f"unknown config key {key!r}; known keys: "

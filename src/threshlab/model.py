@@ -54,11 +54,11 @@ class DensityPair:
     """A model: evaluable sub-densities with exact derivatives.
 
     Immutable after construction; the threshold is solved once in
-    __post_init__.  Cached per pair on first use, and pickled with it to
-    parallel workers: the sampling `envelope` and `sup_density()` (each
-    Field node of fplus and fminus caches its own `support`).
-    `perturbation.estimate_c1` is memoized on the value of (pair, bump), so
-    equal pairs share one c1.
+    __post_init__.  `sup_density()` and the sampling `envelope` are cached
+    per pair on first use and pickled with it (`harness.rate_sweep` computes
+    the envelope before it ships the pair to its workers), as is each Field
+    node's `support`.  `perturbation.estimate_c1` is memoized on the value
+    of (pair, bump), so equal pairs share one c1.
 
     `name` has no comma or line break (it lands in unquoted CSV cells).
     `breakpoints` lists interior x where some derivative of the densities
@@ -86,7 +86,8 @@ class DensityPair:
         return self.fplus.val(x) - self.fminus.val(x)
 
     def margin_der(self, x):
-        return self.fplus.der(x) - self.fminus.der(x)
+        x, memo = np.asarray(x, dtype=float), {}
+        return self.fplus.jet(x, memo)[1] - self.fminus.jet(x, memo)[1]
 
     @cached_property
     def envelope(self) -> float:
@@ -95,9 +96,9 @@ class DensityPair:
         It must dominate the X-marginal f_sigma = f+ + f-, not the per-label
         sup: grid sup plus a Lipschitz pad, then a safety factor.
         """
-        grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
-        dg = np.abs(self.fplus.der(grid)) + np.abs(self.fminus.der(grid))
-        sup = _padded_range(self.fsum(grid), dg, grid[1] - grid[0])[1]
+        grid, memo = np.linspace(0.0, 1.0, _ENVELOPE_GRID), {}
+        (pv, pd), (mv, md) = self.fplus.jet(grid, memo), self.fminus.jet(grid, memo)
+        sup = _padded_range(pv + mv, np.abs(pd) + np.abs(md), grid[1] - grid[0])[1]
         return _ENVELOPE_FACTOR * sup
 
     def sup_density(self) -> float:
@@ -107,20 +108,21 @@ class DensityPair:
 
     @cached_property
     def _sup_density(self) -> float:
-        x = np.linspace(0.0, 1.0, _NONNEG_GRID)
-        return max(_padded_range(f.val(x), np.abs(f.der(x)), x[1] - x[0])[1]
-                   for f in (self.fplus, self.fminus))
+        x, memo = np.linspace(0.0, 1.0, _NONNEG_GRID), {}
+        return max(_padded_range(v, np.abs(d), x[1] - x[0])[1]
+                   for v, d in (f.jet(x, memo) for f in (self.fplus, self.fminus)))
 
     def validate(self) -> dict:
         """Run every class-membership invariant; returns name -> (ok, detail)."""
         from .divergence import QuadratureSpec, adaptive_simpson
 
         report = {}
-        x = np.linspace(0.0, 1.0, _NONNEG_GRID)
+        x, memo = np.linspace(0.0, 1.0, _NONNEG_GRID), {}
         h = x[1] - x[0]
         for label, f in (("fplus", self.fplus), ("fminus", self.fminus)):
-            ok, gmin = nonneg_on_grid(f)
-            certified = _padded_range(gmin, np.abs(f.der(x)), h)[0]
+            v, d = f.jet(x, memo)
+            ok, gmin = nonneg_on_grid(f, v)
+            certified = _padded_range(gmin, np.abs(d), h)[0]
             report[f"nonneg_{label}"] = (
                 ok,
                 f"grid min {gmin:.3e}, certified lower bound {certified:.3e}",
@@ -142,10 +144,12 @@ class DensityPair:
         return report
 
 
-def nonneg_on_grid(f: Field) -> tuple:
-    """(ok, gmin): f's minimum on a 10001-point grid of [0, 1] and whether it
-    is >= -1e-12, the sub-density rule of `validate` and `perturb`."""
-    gmin = float(np.min(f.val(np.linspace(0.0, 1.0, _NONNEG_GRID))))
+def nonneg_on_grid(f: Field, values=None) -> tuple:
+    """(ok, gmin): f's minimum on a 10001-point grid of [0, 1] (`values`, if
+    given, are f there) and whether it is >= -1e-12, the sub-density rule
+    of `validate` and `perturb`."""
+    v = f.val(np.linspace(0.0, 1.0, _NONNEG_GRID)) if values is None else values
+    gmin = float(np.min(v))
     return gmin >= _NONNEG_FLOOR, gmin
 
 
@@ -175,7 +179,7 @@ def _solve_threshold(P: DensityPair) -> float:
         a = float(x[exact[0] + 1])
     else:
         k = flips[0]
-        a = _bisect(P, float(x[k]), float(x[k + 1]), float(m[k]))
+        a = _bisect(P, float(x[k]), float(x[k + 1]), float(m[k]), float(m[k + 1]))
     if float(P.margin_der(a)) <= 0.0:
         raise NotTransversal(f"{P.name}: m'({a}) <= 0 at the crossing")
     if not (0.0 < a < 1.0):
@@ -183,46 +187,51 @@ def _solve_threshold(P: DensityPair) -> float:
     return a
 
 
-def _bisect(P: DensityPair, lo: float, hi: float, mlo: float) -> float:
-    """Bisect m on [lo, hi], where m(lo) = mlo and m(hi) have opposite signs,
-    down to _BISECT_WIDTH; returns the final midpoint, or a midpoint where
-    m is exactly 0.
+def _bisect(P: DensityPair, lo: float, hi: float, mlo: float, mhi: float) -> float:
+    """Bisect m on [lo, hi], where m(lo) = mlo and m(hi) = mhi have opposite
+    signs, down to _BISECT_WIDTH; returns the final midpoint, or a midpoint
+    where m is exactly 0.
 
-    One array call of m evaluates the midpoint tree of the next
-    _BISECT_LEVELS levels, and the walk down it keeps the half with the
-    sign change, as bisecting one midpoint at a time would.  The midpoints
-    come from the same 0.5 * (lo + hi), so the result is bitwise that of
-    sequential bisection wherever array and scalar m agree.
+    Each round makes one array call of m, on the predicted path and on the
+    midpoint tree of the next _BISECT_LEVELS levels, and bisects as one
+    midpoint at a time would while the call holds the next midpoint.  The
+    midpoints come from the same 0.5 * (lo + hi), so the result is bitwise
+    that of sequential bisection wherever array and scalar m agree.
     """
     while hi - lo > _BISECT_WIDTH:
-        mids = _midpoint_tree(lo, hi)
-        mm = P.margin(mids)
-        i = 0
-        while i < len(mids) and hi - lo > _BISECT_WIDTH:
-            mid, mmid = float(mids[i]), float(mm[i])
+        mids = _predicted_path(lo, hi, mlo, mhi) + _midpoint_tree(lo, hi)
+        known = dict(zip(mids, P.margin(np.array(mids)).tolist()))
+        while hi - lo > _BISECT_WIDTH and (mid := 0.5 * (lo + hi)) in known:
+            mmid = known[mid]
             if mmid == 0.0:
-                lo = hi = mid
-                break
+                return mid
             if (mmid > 0) == (mlo > 0):
-                lo, mlo, i = mid, mmid, 2 * i + 2
+                lo, mlo = mid, mmid
             else:
-                hi, i = mid, 2 * i + 1
+                hi, mhi = mid, mmid
     return 0.5 * (lo + hi)
 
 
-def _midpoint_tree(lo: float, hi: float):
+def _predicted_path(lo: float, hi: float, mlo: float, mhi: float) -> list:
+    """The predicted path: the midpoints that bisecting [lo, hi] down to
+    _BISECT_WIDTH visits if m is the secant through (lo, mlo), (hi, mhi)."""
+    root, path = lo - mlo * (hi - lo) / (mhi - mlo), []
+    while hi - lo > _BISECT_WIDTH:
+        path.append(0.5 * (lo + hi))
+        lo, hi = (path[-1], hi) if path[-1] < root else (lo, path[-1])
+    return path
+
+
+def _midpoint_tree(lo: float, hi: float) -> list:
     """The midpoints of the next _BISECT_LEVELS bisection levels of [lo, hi]
     in heap order: entry i splits its interval, and entries 2i + 1 and
     2i + 2 split its left and right halves."""
-    edges = np.array([lo, hi])
-    levels = []
+    edges, levels = [lo, hi], []
     for _ in range(_BISECT_LEVELS):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        levels.append(mids)
-        split = np.empty(2 * len(edges) - 1)
-        split[0::2], split[1::2] = edges, mids
-        edges = split
-    return np.concatenate(levels)
+        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+        levels += mids
+        edges = [e for pair in zip(edges, mids) for e in pair] + edges[-1:]
+    return levels
 
 
 def local_params(P: DensityPair) -> LocalParams:

@@ -1,11 +1,14 @@
 """Certificate fast paths: k-ary threshold bisection against the sequential
-solver, per-pair constants computed once, and the certificate bytes."""
+solver, the secant-guided path's margin calls, jets against full
+evaluation, per-pair constants computed once, and the certificate bytes."""
 
 import inspect
 import io
+import math
 import pickle
 from collections import Counter
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,8 @@ from threshlab.expr import Affine, CosSquaredProfile
 from threshlab.harness import certificate_csv_lines, certificate_sweep
 from threshlab.model import DensityPair, builtin_model, builtin_models, model_from_config
 from threshlab.perturbation import default_bump, estimate_c1, make_plan, perturb
+
+from test_kernel import bits as array_bits, full_eval, support_inputs
 
 DATA = Path(__file__).parent / "data"
 MODELS = ("canonical", "tilted", "curved")
@@ -55,6 +60,15 @@ def sequential_threshold(P) -> float:
 def certified_q(P, delta, n):
     phi = default_bump()
     return perturb(P, phi, make_plan(P, phi, delta, n).eps)
+
+
+def certified_qs():
+    """((model, delta, n), Q) for the 45 certified Q of the grid below."""
+    for name in MODELS:
+        P = builtin_model(name)
+        for delta in DELTAS:
+            for n in N_LADDER:
+                yield (name, delta, n), certified_q(P, delta, n)
 
 
 # --- k-ary bisection against the sequential solver ----------------------------
@@ -129,6 +143,80 @@ def test_scalar_and_array_margin_agree_inside_the_bump(name):
             x = np.linspace(lo, hi, 201)
             scalar = np.array([float(q.margin(float(t))) for t in x])
             assert q.margin(x).tobytes() == scalar.tobytes(), (delta, n)
+
+
+# --- the secant-guided path: margin calls per solve --------------------------------
+
+
+@pytest.fixture
+def margin_calls(monkeypatch):
+    """A list that gains one entry per DensityPair.margin call."""
+    calls = []
+    margin = DensityPair.margin
+    monkeypatch.setattr(DensityPair, "margin",
+                        lambda self, x: calls.append(1) or margin(self, x))
+    return calls
+
+
+def solve_calls(q, calls) -> tuple:
+    """(margin calls of the bisection, threshold) when q is solved anew; the
+    bracket grid's call is not counted."""
+    calls.clear()
+    a = replace(q).threshold
+    return len(calls) - 1, a
+
+
+def kary_calls(q, calls, levels) -> int:
+    """Margin calls of the k-ary walk at `levels` levels a call: one per
+    `levels` levels of sequential bisection, whose scalar calls are one per
+    level besides the bracket grid and m(lo)."""
+    calls.clear()
+    sequential_threshold(q)
+    return math.ceil((len(calls) - 2) / levels)
+
+
+def test_secant_path_needs_few_margin_calls(levels, margin_calls):
+    counts = []
+    for key, q in certified_qs():
+        n_calls, a = solve_calls(q, margin_calls)
+        assert bits(a) == bits(q.threshold), key
+        assert n_calls <= kary_calls(q, margin_calls, levels), key
+        counts.append(n_calls)
+    assert len(counts) == 45
+    assert np.mean(counts) <= 3.5
+
+
+def test_wrong_predictions_keep_every_bit(levels, margin_calls, monkeypatch):
+    path = model._predicted_path
+    for key, q in certified_qs():
+        a = q.threshold
+
+        def wrong_path(lo, hi, mlo, mhi):
+            # a secant root at the bracket end away from the crossing, so
+            # the path turns the wrong way at its first midpoint
+            return path(lo, hi, -1.0, 0.0) if a < 0.5 * (lo + hi) else path(lo, hi, 0.0, 1.0)
+
+        monkeypatch.setattr(model, "_predicted_path", wrong_path)
+        n_calls, got = solve_calls(q, margin_calls)
+        assert bits(got) == bits(a), key
+        assert n_calls <= kary_calls(q, margin_calls, levels), key
+
+
+# --- jets against full evaluation ---------------------------------------------------
+
+
+def test_jet_equals_full_evaluation_bitwise():
+    for key, q in certified_qs():
+        for x in support_inputs(q):
+            ders = []
+            for f in (q.fplus, q.fminus):
+                val, der = f.jet(x)
+                want = full_eval(f, x), full_eval(f, x, der=True)
+                assert np.shape(val) == np.shape(der) == np.shape(x), key
+                assert array_bits(val) == array_bits(want[0]), key
+                assert array_bits(der) == array_bits(want[1]), key
+                ders.append(want[1])
+            assert array_bits(q.margin_der(x)) == array_bits(ders[0] - ders[1]), key
 
 
 # --- certificate bytes ------------------------------------------------------------

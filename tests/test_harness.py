@@ -1,6 +1,8 @@
 """Experiment driver: determinism, report formats, and the CLI."""
 
+import itertools
 import json
+import pickle
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -105,6 +107,30 @@ def test_pool_starts_at_most_one_process_per_job(trials, started,
     assert [r.trials for r in report.rows] == [trials]
 
 
+class PicklingPool(RecordingPool):
+    """A RecordingPool that ships each job's arguments through pickle, as a
+    process pool does, and records the pickled bytes."""
+
+    shipped = []
+
+    def map(self, fn, *iterables):
+        jobs = [pickle.dumps(args) for args in zip(*iterables)]
+        PicklingPool.shipped.extend(jobs)
+        return itertools.starmap(fn, map(pickle.loads, jobs))
+
+
+def test_pooled_jobs_ship_the_pair_with_its_envelope(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(PicklingPool, "shipped", [])
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        PicklingPool)
+    report = rate_sweep(small_config(workers=2))
+    assert len(PicklingPool.shipped) == 32  # 2 estimators x 2 n x 8 blocks
+    for job in PicklingPool.shipped:
+        assert "envelope" in vars(pickle.loads(job)[0])
+    assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
+
+
 def test_sweep_repeatable_in_process():
     a = rate_sweep(small_config())
     b = rate_sweep(small_config())
@@ -206,6 +232,8 @@ def test_parse_config_comments_and_whitespace(tmp_path):
                  "model.eps needs model.family = perturbed", id="eps-canonical"),
     pytest.param("model.base = tilted\n",
                  "model.base needs model.family = perturbed", id="base-no-family"),
+    pytest.param("seed = 3\nseed = 9\n", "repeated config key 'seed'",
+                 id="repeated-key"),
 ])
 def test_cli_rejects_bad_config(text, word, tmp_path, capsys):
     path = tmp_path / "exp.cfg"
