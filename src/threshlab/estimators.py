@@ -53,49 +53,62 @@ def erm_threshold(sample: LabeledSample) -> ErmResult:
     return ErmResult(a_hat=float(a_hat[0]), min_errors=int(errors[0]))
 
 
+# bits of 1.0 and 2.0: on [+0.0, 2) a float's bits, read as an integer, are
+# ordered as the float is and leave the top two bits clear
+_ONE_BITS = 0x3FF0_0000_0000_0000
+_TWO_BITS = 0x4000_0000_0000_0000
+
+
 def erm_block(x, y) -> tuple:
     """erm_threshold on each row of (trials, n) arrays; returns the arrays
-    (a_hat, min_errors), one entry per row."""
+    (a_hat, min_errors), one entry per row.  Every abscissa must lie in
+    [+0.0, 2): NaN, -0.0 or any other x outside raises ValueError."""
     x = np.asarray(x, dtype=float)
     rows, n = x.shape
     if n == 0:
         return np.zeros(rows), np.zeros(rows, dtype=np.int64)
-    # prefix counts are read only where the sorted abscissa changes, so the
-    # order inside a tie does not matter and the faster unstable sort will do
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    plus = np.take_along_axis(np.asarray(y) == 1, order, axis=1)
-    # candidate column j: 0 -> a = 0, n -> a = 1, and 0 < j < n -> the
-    # midpoint of sorted positions j - 1 and j, a candidate where they differ
-    distinct = xs[:, 1:] > xs[:, :-1]
-    candidates = np.empty((rows, n + 1))
-    candidates[:, 0], candidates[:, n] = 0.0, 1.0
-    mids = candidates[:, 1:n]
-    np.multiply(0.5, xs[:, :-1] + xs[:, 1:], out=mids)
-    # i = #{x < a}: j for a midpoint, unless it rounds down onto the smaller
-    # abscissa, which then starts the count at its first tie
-    i = np.empty((rows, n + 1), dtype=np.int64)
-    i[:, 0] = np.count_nonzero(xs < 0.0, axis=1)
-    i[:, 1:n] = np.arange(1, n)
-    i[:, n] = np.count_nonzero(xs < 1.0, axis=1)
-    low = distinct & (mids == xs[:, :-1])
-    if low.any():
-        starts = np.where(np.concatenate(
-            (np.ones((rows, 1), dtype=bool), distinct), axis=1),
-            np.arange(n), 0)
-        first_tie = np.maximum.accumulate(starts, axis=1)[:, :-1]
-        i[:, 1:n] = np.where(low, first_tie, i[:, 1:n])
-    # errors(a) = #{x >= a, y = -1} + #{x < a, y = +1}; with i = #{x < a}:
-    # errors = (plus among first i) + (minus among last n - i)
-    plus_prefix = np.zeros((rows, n + 1), dtype=np.int64)
-    np.cumsum(plus, axis=1, out=plus_prefix[:, 1:])
-    total_minus = (n - plus_prefix[:, n])[:, None]
-    below = np.take_along_axis(plus_prefix, i, axis=1)
-    errors = below + (total_minus - (i - below))
-    errors[:, 1:n][~distinct] = n + 1  # not a candidate
-    best = np.argmin(errors, axis=1)  # first minimum -> smallest candidate
+    if x.size and x.view(np.uint64).max() >= _TWO_BITS:
+        raise ValueError("erm needs abscissae in [+0.0, 2)")
+    # one int64 sort of (bits << 1 | label) sorts each row by x; inside a tie
+    # the order is by label, which does not matter, because the counts below
+    # are read only where the sorted abscissa changes
+    key = x.view(np.int64) << 1
+    key |= np.asarray(y) == 1
+    key.sort(axis=1)
+    errors = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(key & 1, axis=1, out=errors[:, 1:])  # plus among the first i
+    key >>= 1  # now the bits of the sorted abscissae
+    total_minus = n - errors[:, n]
     pick = np.arange(rows)
-    return candidates[pick, best], errors[pick, best]
+    i_end = np.count_nonzero(key < _ONE_BITS, axis=1)
+    plus_end = errors[pick, i_end]
+    # candidate column j: 0 -> a = 0, n -> a = 1, and 0 < j < n -> the
+    # midpoint of sorted positions j - 1 and j, a candidate where they differ.
+    # errors(a) = #{x >= a, y = -1} + #{x < a, y = +1} = 2 plus_i - i + minus
+    # with i = #{x < a} and plus_i the plus among the first i; i is j at a
+    # midpoint, so column j < n holds its errors for i = j
+    errors *= 2
+    errors[:, :n] -= np.arange(n)
+    errors += total_minus[:, None]
+    errors[:, n] = 2 * plus_end - i_end + total_minus
+    step = key[:, 1:] - key[:, :-1]
+    inner = errors[:, 1:n]
+    # the midpoint of adjacent floats can round down onto the smaller one,
+    # and then i counts from that abscissa's first tie: the errors of that
+    # column, read before any column is changed
+    r, j = np.nonzero(step == 1)
+    xs = key.view(np.float64)
+    low = 0.5 * (xs[r, j] + xs[r, j + 1]) == xs[r, j]
+    r, j = r[low], j[low]
+    first = [int(np.searchsorted(key[row], key[row, col]))
+             for row, col in zip(r.tolist(), j.tolist())]
+    inner[r, j] = errors[r, np.array(first, dtype=np.int64)]
+    inner[step == 0] = n + 1  # not a candidate
+    best = np.argmin(errors, axis=1)  # first minimum -> smallest candidate
+    a_hat = (best == n).astype(float)
+    mid = np.nonzero((best > 0) & (best < n))[0]
+    a_hat[mid] = 0.5 * (xs[mid, best[mid] - 1] + xs[mid, best[mid]])
+    return a_hat, errors[pick, best]
 
 
 _DET_FLOOR = 1e-30
@@ -109,37 +122,54 @@ def refine_local(x, y, a0: float, L: float) -> RefineResult:
     y = b1 (x - a0) + b2 by the 2x2 normal equations, and returns the
     intersection of the line with the x axis, a0 - b2/b1.  Degenerate windows
     (fewer than two distinct abscissae, singular system, or b1 = 0) fall back
-    to a0.  The output is deliberately not clamped to [0, 1].
+    to a0.  The output is deliberately not clamped to [0, 1].  The one-row
+    case of the refinement in two_step_block.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
     if not (0.0 < a0 < 1.0):
         raise ValueError("a0 must lie in (0, 1)")
     x, y = np.asarray(x, dtype=float), np.asarray(y)
-    n = len(x)
-    if n < 1:
+    if len(x) < 1:
         raise SampleTooSmall("refine_local needs at least one point")
-    M = L * n ** (-1.0 / 3.0)
-    inside = np.abs(x - a0) <= M
-    xt = x[inside] - a0
-    yw = y[inside].astype(float)
-    k = len(xt)
-    fallback = RefineResult(a_hat=a0, window_count=k, fell_back=True)
-    if k < 2 or xt.min() == xt.max():
-        return fallback
-    sx = float(xt.sum())
-    sxx = float((xt * xt).sum())
-    sy = float(yw.sum())
-    sxy = float((xt * yw).sum())
+    a_hat, count, fell_back = _refine_rows(x[None, :], y[None, :],
+                                           np.array([a0]), L)
+    return RefineResult(a_hat=float(a_hat[0]), window_count=int(count[0]),
+                        fell_back=bool(fell_back[0]))
+
+
+def _refine_rows(x, y, a0, L: float) -> tuple:
+    """refine_local on each row of (trials, n) arrays from the starts a0;
+    returns the arrays (a_hat, window_count, fell_back).  The windows are
+    packed end to end, and each window's sums are one reduceat segment, so
+    a row's result does not depend on the rows beside it."""
+    if L <= 0:
+        raise ValueError("L must be positive")
+    rows, m = x.shape
+    M = L * m ** (-1.0 / 3.0)
+    xt = x - a0[:, None]
+    idx = np.flatnonzero(np.abs(xt) <= M)
+    starts = np.searchsorted(idx, m * np.arange(rows + 1))
+    k = starts[1:] - starts[:-1]
+    # one 0 after the last window keeps every start a valid index; an empty
+    # window's segment then reads one value, and such a row falls back
+    xw = np.zeros(len(idx) + 1)
+    np.take(xt, idx, out=xw[:-1], mode="clip")  # idx is in range
+    yw = np.zeros_like(xw)
+    yw[:-1] = np.take(y, idx)
+
+    def window(ufunc, values):
+        return ufunc.reduceat(values, starts)[:rows]
+
+    sx, sy = window(np.add, xw), window(np.add, yw)
+    sxx, sxy = window(np.add, xw * xw), window(np.add, xw * yw)
+    spread = window(np.minimum, xw) < window(np.maximum, xw)
     det = sxx * k - sx * sx
-    scale = max(sxx * k, sx * sx, 1e-300)
-    if abs(det) < _DET_FLOOR * scale:
-        return fallback
-    b1 = (sxy * k - sx * sy) / det
-    b2 = (sxx * sy - sx * sxy) / det
-    if b1 == 0.0:
-        return fallback
-    return RefineResult(a_hat=a0 - b2 / b1, window_count=k, fell_back=False)
+    scale = np.maximum(np.maximum(sxx * k, sx * sx), 1e-300)
+    # rows that fall back may divide by 0 here; their quotients are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1 = (sxy * k - sx * sy) / det
+        b2 = (sxx * sy - sx * sxy) / det
+        fell_back = ~spread | (np.abs(det) < _DET_FLOOR * scale) | (b1 == 0.0)
+        return np.where(fell_back, a0, a0 - b2 / b1), k, fell_back
 
 
 def two_step(sample: LabeledSample, L: float) -> float:
@@ -155,8 +185,8 @@ def two_step(sample: LabeledSample, L: float) -> float:
 
 
 def two_step_block(x, y, L: float) -> np.ndarray:
-    """two_step on each row of (trials, n) arrays: ERM on the first halves
-    as one block, then refine_local row by row."""
+    """two_step on each row of (trials, n) arrays: ERM on the first halves,
+    then the refinement on the second halves, each as one block."""
     n = np.shape(x)[1]
     if n < 2:
         raise SampleTooSmall(f"two_step needs n >= 2, got {n}")
@@ -164,9 +194,8 @@ def two_step_block(x, y, L: float) -> np.ndarray:
     a0 = erm_block(x[:, :m], y[:, :m])[0]
     a0 = np.where(a0 <= 0.0, 1.0 / (2.0 * m),
                   np.where(a0 >= 1.0, 1.0 - 1.0 / (2.0 * m), a0))
-    return np.array([
-        refine_local(x[k, m:2 * m], y[k, m:2 * m], start, L).a_hat
-        for k, start in enumerate(a0.tolist())], dtype=float)
+    return _refine_rows(np.asarray(x, dtype=float)[:, m:2 * m],
+                        np.asarray(y)[:, m:2 * m], a0, L)[0]
 
 
 def clock_estimator(n: int) -> float:
@@ -215,5 +244,6 @@ def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
     seeds = [SeedPolicy(master_seed, t) for t in trial_indices]
     if estimator == "clock":
         return np.full(len(seeds), clock_estimator(max(n, 1)))
+    blocks = sub_blocks(seeds, n, P.marginal.envelope)
     return np.concatenate([np.empty(0)] + [
-        est(*draw_block(P, n, block)) for block in sub_blocks(seeds, n)])
+        est(*draw_block(P, n, block)) for block in blocks])

@@ -23,6 +23,7 @@ from .estimators import estimate_trials, resolve_estimator
 from .model import DensityPair, resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk
+from .sampling import STREAM_VERSION
 
 __all__ = [
     "ExperimentConfig",
@@ -106,7 +107,7 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     do not depend on the worker count or on which block finishes first.
     """
     P = resolve_model(cfg.model)
-    P.envelope  # cached on P before the jobs pickle it, not once per job
+    P.marginal.envelope  # cached before the jobs pickle P, not once per job
     cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
     starts = range(0, cfg.trials, chunk)
@@ -264,7 +265,8 @@ def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
     json_path = os.path.join(out_dir, "rates.json")
     # the statistics of a zero-trial row are NaN; JSON has no NaN, so null
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
+        "stream_version": STREAM_VERSION,
         "rows": [
             {k: None if isinstance(v, float) and math.isnan(v) else v
              for k, v in asdict(r).items()}

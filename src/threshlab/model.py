@@ -63,18 +63,28 @@ class DensityPair:
     `name` has no comma or line break (it lands in unquoted CSV cells).
     `breakpoints` lists interior x where some derivative of the densities
     jumps (bump support edges); quadrature makes them panel boundaries.
+    `base` is set by `perturb` alone, to the unperturbed pair whose f_sigma
+    the perturbed pair equals in exact arithmetic; sampling draws X from it
+    (`marginal`).
     """
 
     fplus: Field
     fminus: Field
     name: str = "unnamed"
     breakpoints: tuple = ()
+    base: DensityPair | None = field(init=False, default=None, repr=False)
     threshold: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if any(c in self.name for c in ",\r\n"):
             raise InvalidModel(f"name {self.name!r} contains a comma or line break")
         object.__setattr__(self, "threshold", _solve_threshold(self))
+
+    @property
+    def marginal(self) -> DensityPair:
+        """The pair whose f_sigma and envelope the sampler draws X from: the
+        base of a perturbed pair, else the pair itself."""
+        return self if self.base is None else self.base
 
     # convenience evaluators ------------------------------------------------
 
@@ -298,7 +308,10 @@ def model_from_config(cfg: dict) -> DensityPair:
     else:
         pair = builtin_model(family)
     if cfg.get("model.name"):
-        pair = replace(pair, name=cfg["model.name"])
+        renamed = replace(pair, name=cfg["model.name"])
+        # replace leaves the init=False base unset; the new name keeps it
+        object.__setattr__(renamed, "base", pair.base)
+        pair = renamed
     return pair
 
 

@@ -107,12 +107,14 @@ def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
     fqm = P.fminus - g
     if not (nonneg_on_grid(fqp)[0] and nonneg_on_grid(fqm)[0]):
         raise NegativeDensity(f"eps={eps} drives a sub-density negative")
-    return DensityPair(
+    Q = DensityPair(
         fplus=fqp,
         fminus=fqm,
         name=f"{P.name}+bump(eps={eps:.6g})",
         breakpoints=(*P.breakpoints, a - r, a + r),
     )
+    object.__setattr__(Q, "base", P.marginal)
+    return Q
 
 
 def _c4(P: DensityPair, phi: CosSquaredProfile) -> float:

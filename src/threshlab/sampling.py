@@ -1,14 +1,26 @@
 """Reproducible i.i.d. sampling of labeled points from a density pair.
 
-X is drawn by rejection against the pair's constant envelope, slightly
-above the certified sup of f_sigma; the label is +1 with probability
-rho^+(X).  Each trial owns a private generator stream derived from
-(master_seed, trial_index), so results are byte-identical regardless of
-worker schedule.
+X is drawn by rejection against the constant envelope of the pair's
+marginal (`DensityPair.marginal`: a perturbed pair draws X from its base,
+whose f_sigma it equals in exact arithmetic); the label is +1 with
+probability f+ / f_sigma at X.  Each trial owns a private stream, a pure
+function of (master_seed, trial_index), so results are byte-identical
+regardless of worker schedule or of how trials are grouped into blocks.
+
+Stream layout (stream_version 2).  Trial t of master seed s, 0 <= s < 2^128,
+reads the doubles of numpy's PCG64 seeded with four 64-bit words: the first
+four that numpy's Philox, keyed by s, draws from counter t.  Philox is
+counter-based, so distinct trial indices give independent words, and each
+trial's PCG64 starts from its own random state on its own stream.  Each
+rejection round takes k abscissae, then k acceptance uniforms, with k sized
+from the acceptance rate 1/envelope; once n points are accepted, n label
+uniforms follow.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,25 +32,70 @@ from .model import DensityPair
 __all__ = ["SeedPolicy", "LabeledSample", "draw", "draw_block", "sub_blocks",
            "cdf_sigma"]
 
-# A block of trials draws its first-round proposals together, up to this many
-# uniforms; at n = 10^4 that is one trial, so per-point memory stays that of
-# a single draw.
-_MAX_BLOCK_UNIFORMS = 2 ** 16
+STREAM_VERSION = 2
+# A block of trials draws its first-round abscissae and acceptance uniforms
+# together, up to this many doubles: one trial at n = 10^4, 16 at n = 1000,
+# 63 at n = 250.  Three-trial blocks at n = 10^4 ran slower: the heap gave
+# their 240 KB arrays back to the kernel and faulted them in again on every
+# block.
+_MAX_BLOCK_UNIFORMS = 2 ** 15
+_PROPOSAL_SDS = 3.0  # proposals beyond the expected count, in standard deviations
 
 
 @dataclass(frozen=True)
 class SeedPolicy:
-    """Counter-based per-trial stream derivation: the stream is a pure
-    function of (master_seed, trial_index)."""
+    """Names one trial's stream, a pure function of (master_seed,
+    trial_index), 0 <= master_seed < 2^128 and trial_index >= 0 (module
+    docstring)."""
 
     master_seed: int
     trial_index: int = 0
 
-    def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.trial_index,)
-        )
-        return np.random.default_rng(ss)
+    def __post_init__(self):
+        if not (0 <= self.master_seed < 2 ** 128 and self.trial_index >= 0):
+            raise ValueError(f"no stream for {self}: needs 0 <= master_seed"
+                             " < 2^128 and trial_index >= 0")
+
+
+@functools.cache
+def _words_type() -> type:
+    """The seed material that hands a bit generator the given uint64 words
+    as they are: Philox takes two as its key, PCG64 four as its initial
+    state and stream.  Built on first use, so that `import threshlab` does
+    not import numpy.random, which numpy loads lazily."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert len(self.words) == n_words and dtype == np.uint64
+            return self.words
+
+    return Words
+
+
+def _trial_generators(seeds) -> list:
+    """One Generator per seed, on that trial's stream; the seeds share one
+    master seed."""
+    if len({seed.master_seed for seed in seeds}) > 1:
+        raise ValueError("the seeds of a block must share one master seed")
+    if not seeds:
+        return []
+    words = _words_type()
+    s = int(seeds[0].master_seed)
+    counter = int(seeds[0].trial_index)
+    key = words(np.array([s % 2 ** 64, s >> 64], dtype=np.uint64))
+    philox = np.random.Philox(key, counter=counter)
+    gens = []
+    for t in (int(seed.trial_index) for seed in seeds):
+        if t != counter:
+            philox.advance((t - counter) % 2 ** 256)
+        counter = t + 1  # random_raw(4) reads one counter's block
+        bits = np.random.PCG64(words(philox.random_raw(4)))
+        gens.append(np.random.Generator(bits))
+    return gens
 
 
 @dataclass(frozen=True)
@@ -58,62 +115,72 @@ def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     return LabeledSample(x=x[0], y=y[0])
 
 
+def _proposal_size(m: int, envelope: float) -> int:
+    """Proposals for one round that still needs m acceptances: the expected
+    count m * envelope plus 3 standard deviations of that count (negative
+    binomial at acceptance rate 1/envelope; an envelope below 1 counts as 1)."""
+    c = max(envelope, 1.0)
+    return math.ceil(m * c + _PROPOSAL_SDS * math.sqrt(m * c * (c - 1.0)))
+
+
 def draw_block(P: DensityPair, n: int, seeds) -> tuple:
     """Samples of n points for a list of seeds, as (x, y) arrays of shape
     (len(seeds), n); row k is draw(P, n, seeds[k]).
 
-    Each seed's stream proposes max(2 * (n - got), 1024) uniform pairs per
-    round until it has n acceptances, then draws its labels.  The proposals
-    of one round are stacked, so f_sigma is evaluated once per round for all
-    seeds still short of n.
+    Each round stacks the proposals of every stream still short of n, so
+    the marginal's f_sigma is evaluated once per round; every proposal is
+    checked against the envelope.  The f_sigma values of the accepted
+    points are kept, and y = +1 where (label uniform) * f_sigma < f+.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rngs = [seed.rng() for seed in seeds]
-    envelope = P.envelope
-    parts = [[] for _ in rngs]
-    got = [0] * len(rngs)
-    short = list(range(len(rngs))) if n > 0 else []
+    M = P.marginal
+    envelope = M.envelope
+    gens = _trial_generators(seeds)
+    x = np.empty((len(seeds), n))
+    fsum = np.empty((len(seeds), n))
+    got = [0] * len(seeds)
+    short = list(range(len(seeds))) if n > 0 else []
     while short:
-        sizes = [max(2 * (n - got[k]), 1024) for k in short]
-        ends = np.cumsum(sizes).tolist()
-        u = np.empty((ends[-1], 2))
-        for k, lo, hi in zip(short, [0, *ends], ends):
-            rngs[k].random(out=u[lo:hi])
-        fx = P.fsum(u[:, 0])
+        ends = np.cumsum([_proposal_size(n - got[k], envelope) for k in short])
+        u = np.empty(ends[-1])
+        v = np.empty(ends[-1])
+        for k, lo, hi in zip(short, [0, *ends[:-1]], ends):
+            gens[k].random(out=u[lo:hi])
+            gens[k].random(out=v[lo:hi])
+        fx = M.fsum(u)
         if np.any(fx > envelope):
             raise EnvelopeViolated(
-                f"{P.name}: f_sigma exceeds envelope {envelope}"
+                f"{M.name}: f_sigma exceeds envelope {envelope}"
             )
-        accept = u[:, 1] * envelope <= fx
-        for k, lo, hi in zip(short, [0, *ends], ends):
-            parts[k].append(u[lo:hi, 0][accept[lo:hi]])
-            got[k] += len(parts[k][-1])
+        v *= envelope
+        accepted = np.flatnonzero(v <= fx)
+        cuts = np.searchsorted(accepted, ends[:-1])
+        for k, idx in zip(short, np.split(accepted, cuts)):
+            idx = idx[:n - got[k]]
+            done = got[k] + len(idx)
+            # idx is in range, and "clip" copies without a buffer
+            np.take(u, idx, out=x[k, got[k]:done], mode="clip")
+            np.take(fx, idx, out=fsum[k, got[k]:done], mode="clip")
+            got[k] = done
         short = [k for k in short if got[k] < n]
-    x = np.empty((len(rngs), n))
-    for row, xs in zip(x, parts):
-        if xs:
-            row[:] = np.concatenate(xs)[:n]
-    rho_plus = _rho_plus(P, x)
-    v = np.empty_like(x)
-    for rng, row in zip(rngs, v):
-        rng.random(out=row)
-    y = np.where(v < rho_plus, 1, -1).astype(np.int8)
-    return x, y
+        del u, v, fx, accepted  # freed before the next round's arrays
+    w = np.empty_like(x)
+    for gen, row in zip(gens, w):
+        gen.random(out=row)
+    w *= fsum
+    # one flat call: the bump's in-support test is cheaper on a 1-d array
+    plus = w.ravel() < P.fplus.val(x.ravel())
+    y = plus.view(np.int8) * np.int8(2) - np.int8(1)
+    return x, y.reshape(x.shape)
 
 
-def _rho_plus(P: DensityPair, x) -> np.ndarray:
-    """rho^+ = f+ / f_sigma at x, 0 where f_sigma is 0.  f_sigma is formed
-    as f+ + f-, which is P.fsum(x) bit for bit, so f+ is evaluated once."""
-    fplus = P.fplus.val(x)
-    fsum = fplus + P.fminus.val(x)
-    return np.divide(fplus, fsum, out=np.zeros_like(fsum), where=fsum > 0)
-
-
-def sub_blocks(seeds, n: int) -> list:
-    """Consecutive runs of seeds whose first-round proposals at sample size
-    n hold at most _MAX_BLOCK_UNIFORMS uniforms, one seed at the least."""
-    size = max(1, _MAX_BLOCK_UNIFORMS // (2 * max(2 * n, 1024)))
+def sub_blocks(seeds, n: int, envelope: float) -> list:
+    """Consecutive runs of seeds whose first-round abscissae and acceptance
+    uniforms at sample size n hold at most _MAX_BLOCK_UNIFORMS doubles, one
+    seed at the least."""
+    per_seed = 2 * max(_proposal_size(n, envelope), 1)
+    size = max(1, _MAX_BLOCK_UNIFORMS // per_seed)
     return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 

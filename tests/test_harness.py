@@ -180,7 +180,8 @@ def test_json_payload_schema(tmp_path):
     report = rate_sweep(small_config())
     emit_outputs(report, tmp_path)
     payload = json.loads((tmp_path / "rates.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
+    assert payload["stream_version"] == 2
     assert len(payload["rows"]) == len(report.rows)
     first = payload["rows"][0]
     assert set(first) == set(RATES_HEADER.split(","))

@@ -1,15 +1,16 @@
 """The batched trial kernel against a per-trial reference, bit for bit.
 
-The reference is the one-trial-at-a-time code the block kernel replaced: a
-rejection loop per stream, ERM by searchsorted on one sorted sample, the
-split estimator on top of it, and one excess-risk quadrature per trial.
-Densities in the reference are evaluated by `full_eval`, which walks the
-expression tree and evaluates every Sum term on every point, so it does not
-rest on the support-aware Sum it checks.
+The reference is one trial at a time, written from the definitions: the
+stream layout of sampling's docstring, read from one generator per trial,
+ERM by searchsorted on one sorted sample, the split estimator with a
+windowed regression of its own, and one excess-risk quadrature per trial.  Densities in the reference are evaluated by
+`full_eval`, which walks the expression tree and evaluates every Sum term
+on every point, so it does not rest on the support-aware Sum it checks.
 """
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from threshlab.estimators import (
     clock_estimator,
     erm_block,
     estimate_trials,
-    refine_local,
     two_step_block,
 )
 from threshlab.expr import (
@@ -45,6 +45,7 @@ from threshlab.risk import excess_risk
 from threshlab.sampling import (
     _MAX_BLOCK_UNIFORMS,
     SeedPolicy,
+    _proposal_size,
     draw,
     draw_block,
     sub_blocks,
@@ -86,27 +87,54 @@ def full_fsum(P, x):
     return full_eval(P.fplus, x) + full_eval(P.fminus, x)
 
 
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def reference_stream(seed):
+    """The trial's PCG64: the first four words of Philox(key=master_seed,
+    counter=trial_index) are its initial state (w0 w1) and stream (w2 w3),
+    set up as PCG's own seeding routine does."""
+    w = [int(v) for v in np.random.Philox(key=seed.master_seed,
+                                          counter=seed.trial_index).random_raw(4)]
+    initstate, initseq = (w[0] << 64) | w[1], (w[2] << 64) | w[3]
+    inc = ((initseq << 1) | 1) % 2 ** 128
+    state = (inc + initstate) % 2 ** 128  # one step from 0, plus initstate
+    state = (state * PCG64_MULTIPLIER + inc) % 2 ** 128
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": state, "inc": inc}}
+    return bits
+
+
 def reference_draw(P, n, seed):
-    """One stream's rejection loop; returns (x, y, proposal rounds)."""
-    rng = seed.rng()
-    envelope = P.envelope
-    xs, got, rounds = [], 0, 0
+    """One stream's rejection loop; returns (x, y, proposal rounds).
+
+    X comes from the base of a perturbed pair.  A round that still needs m
+    points proposes ceil(m c + 3 sqrt(m c (c - 1))) abscissae, c the
+    envelope (at least 1), then as many acceptance uniforms; the label of
+    an accepted x is +1 where its uniform times f_sigma(x) is below f+(x)."""
+    rng = np.random.Generator(reference_stream(seed))
+    base = P if P.base is None else P.base
+    envelope = base.envelope
+    c = max(envelope, 1.0)
+    xs, fs, got, rounds = [], [], 0, 0
     while got < n:
-        batch = max(2 * (n - got), 1024)
-        u = rng.random((batch, 2))
-        fx = full_fsum(P, u[:, 0])
+        m = n - got
+        batch = math.ceil(m * c + 3.0 * math.sqrt(m * c * (c - 1.0)))
+        u = rng.random(batch)
+        v = rng.random(batch)
+        fx = full_fsum(base, u)
         if np.any(fx > envelope):
             raise EnvelopeViolated(P.name)
-        accept = u[:, 1] * envelope <= fx
-        xs.append(u[accept, 0])
+        accept = v * envelope <= fx
+        xs.append(u[accept])
+        fs.append(fx[accept])
         got += int(np.count_nonzero(accept))
         rounds += 1
     x = np.concatenate(xs)[:n] if xs else np.empty(0)
-    fsum = full_fsum(P, x)
-    rho_plus = np.divide(full_eval(P.fplus, x), fsum,
-                         out=np.zeros_like(fsum), where=fsum > 0)
-    y = np.where(rng.random(n) < rho_plus, 1, -1).astype(np.int8)
-    return x, y, rounds
+    fsum = np.concatenate(fs)[:n] if fs else np.empty(0)
+    y = np.where(rng.random(n) * fsum < full_eval(P.fplus, x), 1, -1)
+    return x, y.astype(np.int8), rounds
 
 
 def reference_erm(x, y):
@@ -127,6 +155,29 @@ def reference_erm(x, y):
     return float(candidates[best]), int(errors[best])
 
 
+def reference_refine(x, y, a0, L):
+    """refine_local's a_hat from the normal equations of the window, its
+    sums taken as one reduceat segment over the window's points alone."""
+    xt = x - a0
+    inside = np.abs(xt) <= L * len(x) ** (-1.0 / 3.0)
+    xt, yw = xt[inside], y[inside].astype(float)
+    k = len(xt)
+    if k < 2 or xt.min() == xt.max():
+        return a0
+
+    def total(v):
+        return float(np.add.reduceat(v, [0])[0])
+
+    sx, sxx, sy, sxy = total(xt), total(xt * xt), total(yw), total(xt * yw)
+    det = sxx * k - sx * sx
+    if abs(det) < 1e-30 * max(sxx * k, sx * sx, 1e-300):
+        return a0
+    b1 = (sxy * k - sx * sy) / det
+    if b1 == 0.0:
+        return a0
+    return a0 - (sxx * sy - sx * sxy) / det / b1
+
+
 def reference_two_step(x, y, L):
     m = len(x) // 2
     a0 = reference_erm(x[:m], y[:m])[0]
@@ -134,7 +185,7 @@ def reference_two_step(x, y, L):
         a0 = 1.0 / (2.0 * m)
     elif a0 >= 1.0:
         a0 = 1.0 - 1.0 / (2.0 * m)
-    return refine_local(x[m:2 * m], y[m:2 * m], a0, L).a_hat
+    return reference_refine(x[m:2 * m], y[m:2 * m], a0, L)
 
 
 REFERENCE = {
@@ -187,8 +238,19 @@ def test_draw_block_rows_equal_per_stream_loop(name, n):
 def test_low_acceptance_pair_forces_refill_rounds():
     P = MODELS["cubic"]
     assert 0.45 < 1.0 / P.envelope < 0.5
-    rounds = [reference_draw(P, 1000, SeedPolicy(2024, t))[2] for t in range(8)]
-    assert max(rounds) > 1
+    # a round falls short about once in a few hundred streams, so look for
+    # the streams among 2000 that need a second round at n = 20
+    n, master = 20, 2024
+    refill = [t for t in range(2000)
+              if reference_draw(P, n, SeedPolicy(master, t))[2] > 1]
+    assert refill
+    # in one block with streams that need one round, each row still matches
+    seeds = [SeedPolicy(master, t) for t in sorted({0, 1, 2, *refill})]
+    x, y = draw_block(P, n, seeds)
+    for k, seed in enumerate(seeds):
+        rx, ry, _ = reference_draw(P, n, seed)
+        assert x[k].tobytes() == rx.tobytes()
+        assert y[k].tobytes() == ry.tobytes()
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -207,14 +269,24 @@ def test_trial_block_equals_per_trial_reference(name, n, estimator):
 
 
 def test_erm_block_equals_reference_with_ties():
-    # values from a coarse grid give many ties, and the 0/1 ends are samples
+    # values from a coarse grid give many ties, and the 0/1 ends are samples;
+    # the second grid reaches past 1 towards 2, the end of the key range
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 8, 40):
-        x = rng.integers(0, 5, size=(200, n)) / 4.0
-        y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, n))
-        a_hat, errors = erm_block(x, y)
-        for k in range(len(x)):
-            assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
+        for grid in ([0.0, 0.25, 0.5, 0.75, 1.0],
+                     [0.0, 0.5, 1.0, 1.5, np.nextafter(2.0, 0.0)]):
+            x = rng.choice(grid, size=(200, n))
+            y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, n))
+            a_hat, errors = erm_block(x, y)
+            for k in range(len(x)):
+                assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
+
+
+def test_erm_block_rejects_abscissae_outside_zero_two():
+    y = np.array([[1, -1, 1]], dtype=np.int8)
+    for bad in (np.nan, -np.nan, -0.0, -1e-300, 2.0, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\[\+0\.0, 2\)"):
+            erm_block(np.array([[0.25, bad, 0.75]]), y)
 
 
 def test_erm_block_midpoint_rounding_onto_smaller_abscissa():
@@ -235,6 +307,26 @@ def test_two_step_block_nudges_each_row():
     got = two_step_block(x, y, 1.0)
     assert bits(got) == bits([reference_two_step(x[k], y[k], 1.0)
                               for k in range(2)])
+
+
+def test_refine_rows_with_empty_and_single_point_windows():
+    # windows of 0, 1, 2 and more points, an empty one first, between and
+    # last, and one whose points all sit at one abscissa
+    rng = np.random.default_rng(9)
+    m, L, a0 = 27, 0.3, 0.5  # half-width 0.1
+    x = rng.uniform(0.7, 1.0, (7, m))
+    x[1, :2] = 0.52
+    x[2, 0] = 0.45
+    x[3, :3] = (0.45, 0.5, 0.55)
+    x[5, :] = rng.uniform(0.4, 0.6, m)
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(7, m))
+    y[5, :5] = 1
+    starts = np.full(7, a0)
+    a_hat, count, fell_back = estimators._refine_rows(x, y, starts, L)
+    assert count.tolist()[:5] == [0, 2, 1, 3, 0] and count[6] == 0
+    assert fell_back.tolist()[:3] == [True, True, True]
+    assert bits(a_hat) == bits([reference_refine(x[k], y[k], a0, L)
+                                for k in range(7)])
 
 
 def test_excess_risk_array_equals_scalar_calls():
@@ -282,12 +374,16 @@ def test_sub_blocks_respect_the_uniform_cap(monkeypatch):
     for n in (250, 1000, 10 ** 4):
         estimate_trials(P, "erm", n, 3, range(25))
     per_n = {n: [k for m, k in blocks if m == n] for n, _ in blocks}
+    # first-round doubles a trial under envelope 1.01: 2 x 258 at n = 250,
+    # 2 x 1020 at n = 1000 and 2 x 10131 at n = 10^4
     assert per_n[250] == [25]
+    assert per_n[1000] == [16, 9]
     assert per_n[10 ** 4] == [1] * 25
-    assert sum(per_n[1000]) == 25
     for n, k in blocks:
-        assert k == 1 or 2 * max(2 * n, 1024) * k <= _MAX_BLOCK_UNIFORMS
-    assert sub_blocks([], 10) == []
+        first_round = 2 * _proposal_size(n, P.envelope)
+        assert k == 1 or first_round * k <= _MAX_BLOCK_UNIFORMS
+    assert sub_blocks([], 10, 1.01) == []
+    assert sub_blocks(list(range(5)), 0, 1.01) == [list(range(5))]
 
 
 # --- support-aware Sum against full evaluation ----------------------------------
@@ -402,19 +498,18 @@ def test_bump_support_holds_every_nonzero_point():
 
 
 def test_draw_evaluates_the_bump_only_on_its_support(monkeypatch):
-    """The bump of the certified Q at n = 10^4 covers about 8.6% of [0, 1];
-    a draw must evaluate it on those proposals alone, once in f+ and once
-    in f-."""
+    """A certified Q draws X from its base, so no proposal reaches its bump,
+    and labels it by f+ of Q, whose bump is evaluated at the accepted points
+    inside the bump's support alone, once each."""
     Q = SUPPORT_MODELS["canonical-certified-q"]
     (bump,) = bumps(Q)
     lo, hi = bump.support
-    Q.envelope  # computed before the spies go in
-    proposals, reached, in_fsum = [], [], [False]
+    Q.base.envelope  # computed before the spies go in
+    proposals, in_fsum, reached = [], [False], []
     real_val, real_fsum = BumpComposite.val, DensityPair.fsum
 
-    def counting_val(self, x):
-        if in_fsum[0]:
-            reached.append(np.size(x))
+    def recording_val(self, x):
+        reached.append((in_fsum[0], np.array(x)))
         return real_val(self, x)
 
     def recording_fsum(self, x):
@@ -425,17 +520,18 @@ def test_draw_evaluates_the_bump_only_on_its_support(monkeypatch):
         finally:
             in_fsum[0] = False
 
-    monkeypatch.setattr(BumpComposite, "val", counting_val)
+    monkeypatch.setattr(BumpComposite, "val", recording_val)
     monkeypatch.setattr(DensityPair, "fsum", recording_fsum)
-    draw(Q, 10 ** 4, SeedPolicy(31, 4))
-    x = np.concatenate(proposals)
-    assert len(x) >= 2 * 10 ** 4
-    r = bump.eps * bump.profile.radius
-    share = np.count_nonzero(np.abs(x - bump.center) <= r) / len(x)
-    assert 0.07 < share < 0.10
-    in_mask = np.count_nonzero((x >= lo) & (x <= hi))
-    assert sum(reached) == 2 * in_mask
-    assert sum(reached) < 0.1 * 2 * len(x)
+    n = 10 ** 4
+    sample = draw(Q, n, SeedPolicy(31, 4))
+    assert n < sum(map(len, proposals)) < 1.02 * n
+    assert not any(during_fsum for during_fsum, _ in reached)
+    x = np.concatenate([pts.ravel() for _, pts in reached])
+    assert np.all((x >= lo) & (x <= hi))
+    inside = sample.x[(sample.x >= lo) & (sample.x <= hi)]
+    assert np.array_equal(np.sort(x), np.sort(inside))
+    # the bump covers about 8.6% of [0, 1]
+    assert 0.07 * n < len(x) < 0.10 * n
 
 
 def draw_digest(P, n, seeds):
@@ -446,18 +542,17 @@ def draw_digest(P, n, seeds):
 
 
 # sha256 of the x then y bytes of draw_block(Q, 10^4, seeds (s, 0) and (s, 1))
-# for the certified Q at delta = 0.05, computed while Sum still evaluated every
-# term on every point
+# for the certified Q at delta = 0.05, on stream_version 2
 GOLDEN_Q = {
-    ("canonical", 0): "27404fbe424d925ead01b44d44c5c9baaa4d47d39fc7e95927dd592d9849125f",
-    ("canonical", 7): "887d1ffb8eb0f1c0c06d4b5f9a06a76710e7c26642aca6de333963401af0fae4",
-    ("canonical", 2024): "b935f5e5d58cc964dd9bb1bfcd41a7343b06e39cdb86b62267b8ace1b3b923fc",
-    ("tilted", 0): "d4d6ed5c99c6a17985b325335d394d042a0345eba3d72bfde7b21e27e6b6ab0c",
-    ("tilted", 7): "497ccef83e88d12a241fe75e9216f510f53319a9a665f7f7ff457ec344e76df8",
-    ("tilted", 2024): "1fd4a14003fc58bd2a365cc6a1e5d216f84565e18bbbd4de7cc15dae3f195ef8",
-    ("curved", 0): "2b521a7e3b1cd83f8b56e635a62069efaaa307ed9b2349e0a7ccf0fff9af94d1",
-    ("curved", 7): "a7a51846c6228849e5bf691c5b7a42178723c562e2add0f0752f1bb9f5cc9274",
-    ("curved", 2024): "7b5e74a56caa379758db887d35109470834c97eef1d61db80f9ab6c01f980f13",
+    ("canonical", 0): "232cc2280b20c2eb41e1730276311079dade87d0f3a7c329e0457feab1a8af99",
+    ("canonical", 7): "3d6028a4ccad81f3efc86fded3f29075edeceb62ce1b89e0ce52f15a7ecc744d",
+    ("canonical", 2024): "21cf572052d27cd7b9b243adf409f542e0aa26d4ca749c5621a3c367eb8b43a7",
+    ("tilted", 0): "3534fdde08611581c98b00630f043a279bc5e4efdfc5564318555bd0e836c610",
+    ("tilted", 7): "7e65f473d146fbbd46160ae82016b1d1661f63eded1fb40b5cbb4a1135a120ea",
+    ("tilted", 2024): "25ac934baed6c1103c389ee6c2a36912090590aaff568be81f2cd9cc24a5ecb2",
+    ("curved", 0): "0752fd4b6739faf27dbaf1e4e99ec1e94f37826b7834b3f37feb67458acaf8b7",
+    ("curved", 7): "8a9b1f1850173ae8ba244f5c77d943fbdb7df14b8e4a3dcb682673f92afe5812",
+    ("curved", 2024): "8e3acce45d4e2925c59a69f7c53acab810529eeec5927aa3dd79e6f3ef0565d6",
 }
 
 
@@ -473,4 +568,4 @@ def test_certified_q_draws_match_golden_digests(name):
 def test_canonical_draws_match_golden_digest():
     seeds = [SeedPolicy(11, t) for t in range(32)]
     assert draw_digest(builtin_model("canonical"), 250, seeds) == \
-        "f2e1d7b341ab14989d8ccb251f0dcaa75016f4580d3d0c8cf73b8d9f63c9731f"
+        "00ba7f42f4e6f5bdd3cf36aee9dd1654d94d4485607c675439404ed939ecdd34"

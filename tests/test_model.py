@@ -188,6 +188,7 @@ def test_model_from_config_name_relabels_only():
     assert plain.name != "my-bump"
     assert named.threshold == plain.threshold
     assert named.breakpoints == plain.breakpoints
+    assert named.base == plain.base and plain.base.name == "curved"
 
 
 @pytest.mark.parametrize("name", ["a,b", "a\nb"])

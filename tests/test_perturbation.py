@@ -8,7 +8,7 @@ import pytest
 from threshlab.divergence import QuadratureSpec, adaptive_simpson
 from threshlab.errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, SupportEscapes
 from threshlab.expr import CosSquaredProfile
-from threshlab.model import builtin_models
+from threshlab.model import DensityPair, builtin_models
 from threshlab.perturbation import (
     build_certificate,
     default_bump,
@@ -102,10 +102,16 @@ def test_plan_eps_too_large_for_tiny_n(models, bump):
 
 @pytest.mark.parametrize("eps", [0.04, 0.08, 0.16])
 def test_sum_preservation(models, bump, eps):
+    # so Q keeps P as its base, from whose f_sigma the sampler draws X
     x = np.linspace(0.0, 1.0, 10_000)
     for P in models.values():
         q = perturb(P, bump, eps)
         assert np.max(np.abs(q.fsum(x) - P.fsum(x))) <= 1e-12
+        assert P.marginal is P and q.base is P and q.marginal is P
+        assert perturb(q, bump, eps / 2).base is P
+    # only perturb sets a base: no constructor takes one
+    with pytest.raises(TypeError):
+        DensityPair(P.fplus, P.fminus, base=P)
 
 
 @pytest.mark.parametrize("eps", [0.04, 0.08, 0.16])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from threshlab.model import builtin_model, builtin_models
-from threshlab.sampling import SeedPolicy, cdf_sigma, draw
+from threshlab.perturbation import build_certificate, default_bump
+from threshlab.sampling import SeedPolicy, _trial_generators, cdf_sigma, draw
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,40 @@ def test_streams_differ_across_trials(models):
     assert not np.array_equal(a.x, b.x)
 
 
+def test_aligned_draws_are_independent_across_trials():
+    # Raw word j of trial t against raw word j of trial t + lag, for trials
+    # of one master seed.  Popcounts of independent uniform 64-bit words,
+    # less 32, have mean 0 and variance 16, so the z below is about N(0, 1)
+    # per lag; |z| < 5 for all three lags fails by chance with probability
+    # about 2e-6.  Streams that share a PCG64 increment and sit t * 2^64
+    # draws apart, so that aligned draws share their low 64 state bits,
+    # read z near -10 at lag 1 here.
+    trials, words = 1024, 256
+    gens = _trial_generators([SeedPolicy(11, t) for t in range(trials)])
+    raw = np.array([g.bit_generator.random_raw(words) for g in gens])
+    bits = np.unpackbits(raw.view(np.uint8)).reshape(trials, words, 64)
+    pop = bits.sum(axis=2) - 32.0
+    for lag in (1, 2, 3):
+        prod = pop[:-lag] * pop[lag:]
+        z = prod.mean() / 16.0 * np.sqrt(prod.size)
+        assert abs(z) < 5.0, (lag, z)
+
+
+def test_block_streams_equal_single_trial_streams():
+    # a block positions its Philox by trial index, in any order, and each
+    # trial's stream is the one it has alone
+    order = [7, 0, 3, 3, 12, 11, 2 ** 70]
+    block = _trial_generators([SeedPolicy(2 ** 100 + 5, t) for t in order])
+    for t, gen in zip(order, block):
+        (alone,) = _trial_generators([SeedPolicy(2 ** 100 + 5, t)])
+        assert np.array_equal(gen.random(9), alone.random(9))
+    with pytest.raises(ValueError):
+        _trial_generators([SeedPolicy(1, 0), SeedPolicy(2, 1)])
+    for master, trial in ((-1, 0), (2 ** 128, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            SeedPolicy(master, trial)
+
+
 def test_cdf_sigma_endpoints(models):
     for P in models.values():
         assert cdf_sigma(P, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -117,3 +152,63 @@ def test_cdf_sigma_canonical_midpoint(models):
 def test_cdf_sigma_rejects_outside_domain(models):
     with pytest.raises(ValueError):
         cdf_sigma(models["canonical"], 1.5)
+
+
+# --- theory oracles for a certified Q ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def certified_qs(models):
+    return {name: build_certificate(P, default_bump(), 0.05, 10 ** 4).q
+            for name, P in models.items()}
+
+
+@pytest.mark.parametrize("name", ["canonical", "tilted", "curved"])
+def test_certified_q_marginal_matches_its_cdf(certified_qs, name):
+    # one-sample Kolmogorov-Smirnov against Q's own quadrature CDF, which
+    # integrates f_sigma of Q, bump terms included; the sampler draws X from
+    # the base pair.  P(sqrt(n) D > t) <= 2 exp(-2 t^2), so t = 2.90 bounds
+    # the worst of 10 streams with false-alarm rate 1e-6
+    Q = certified_qs[name]
+    n, streams = 100_000, 10
+    grid = np.linspace(0.0, 1.0, 201)
+    cdf = np.array([cdf_sigma(Q, float(g)) for g in grid])
+    worst = 0.0
+    for trial in range(streams):
+        xs = np.sort(draw(Q, n, SeedPolicy(41, trial)).x)
+        theo = np.interp(xs, grid, cdf)
+        below = np.arange(n) / n
+        worst = max(worst, float(np.max(np.maximum(below + 1.0 / n - theo,
+                                                   theo - below))))
+    # 1e-5: linear interpolation error of a CDF with |f_sigma'| <= 1.2
+    assert worst <= 2.90 / np.sqrt(n) + 1e-5
+
+
+@pytest.mark.parametrize("name", ["canonical", "tilted", "curved"])
+def test_certified_q_labels_follow_rho_q_inside_the_bump(models, certified_qs,
+                                                         name):
+    # given the points, labels are independent with P(Y = +1 | x) =
+    # rho_Q^+(x) = f+_Q(x) / f_sigma(x), evaluated here on Q's own fields.
+    # Per bin the count of +1 labels has mean sum(rho) and variance
+    # sum(rho (1 - rho)); |z| <= 5.3 over 8 bins and |z| <= 4.9 pooled keep
+    # the false-alarm rate near 1e-6.  The same counts sit far from P's
+    # rho_P^+, so the test tells Q's labels from the base pair's
+    Q, P = certified_qs[name], models[name]
+    lo, hi = Q.breakpoints[-2:]
+    edges = np.linspace(lo, hi, 9)
+    plus, mean_q, var_q, mean_p, var_p = (np.zeros(8) for _ in range(5))
+    for trial in range(100):
+        s = draw(Q, 100_000, SeedPolicy(43, trial))
+        inside = (s.x >= lo) & (s.x < hi)
+        x, y = s.x[inside], s.y[inside]
+        bins = np.searchsorted(edges, x, side="right") - 1
+        rho_q = Q.fplus.val(x) / Q.fsum(x)
+        rho_p = P.fplus.val(x) / P.fsum(x)
+        plus += np.bincount(bins, y == 1, 8)
+        mean_q += np.bincount(bins, rho_q, 8)
+        var_q += np.bincount(bins, rho_q * (1.0 - rho_q), 8)
+        mean_p += np.bincount(bins, rho_p, 8)
+        var_p += np.bincount(bins, rho_p * (1.0 - rho_p), 8)
+    assert np.all(np.abs(plus - mean_q) <= 5.3 * np.sqrt(var_q))
+    assert abs(plus.sum() - mean_q.sum()) <= 4.9 * np.sqrt(var_q.sum())
+    assert abs(plus.sum() - mean_p.sum()) > 4.9 * np.sqrt(var_p.sum())
