@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="threshlab")
     p.add_argument("--seed", type=int, default=None,
-                   help="master seed (u64); default: config seed, else 0")
+                   help="master seed in [0, 2^128); default: config seed, else 0")
     p.add_argument("--trials", type=int, default=None,
                    help="default: config trials, else 200")
     p.add_argument("--out", default=".", help="output directory")
@@ -162,19 +162,17 @@ def _dispatch(args, cfg) -> int:
               f"(threshold 1 - delta = {1 - args.delta})")
         return 0 if rep.holds else 1
 
-    if args.command == "risk-curve":
-        qb = quadratic_bounds(model)
-        alphas = np.linspace(0.0, 1.0, args.points)
-        gap = model.threshold - alphas
-        columns = (alphas, prediction_error(model, alphas),
-                   excess_risk(model, alphas),
-                   np.minimum(qb.c9, qb.c3 * gap ** 2), qb.c10 * gap ** 2)
-        print("alpha,loss,excess,lower_bound,upper_bound")
-        for row in zip(*(c.tolist() for c in columns)):
-            print(",".join(fmt_float(v) for v in row))
-        return 0
-
-    raise ThreshlabError(f"unknown command {args.command}")
+    # risk-curve, the last subcommand the parser accepts
+    qb = quadratic_bounds(model)
+    alphas = np.linspace(0.0, 1.0, args.points)
+    gap = model.threshold - alphas
+    columns = (alphas, prediction_error(model, alphas),
+               excess_risk(model, alphas),
+               np.minimum(qb.c9, qb.c3 * gap ** 2), qb.c10 * gap ** 2)
+    print("alpha,loss,excess,lower_bound,upper_bound")
+    for row in zip(*(c.tolist() for c in columns)):
+        print(",".join(fmt_float(v) for v in row))
+    return 0
 
 
 if __name__ == "__main__":

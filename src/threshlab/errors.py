@@ -42,10 +42,6 @@ class InfiniteEntropy(ThreshlabError):
 
 # --- perturbation -----------------------------------------------------------
 
-class DeltaOutOfRange(ThreshlabError):
-    """delta outside (0, 1/11); the implemented inequalities need 11*delta <= 1."""
-
-
 class EpsTooLarge(ThreshlabError):
     """Requested bump amplitude would break positivity or escape (0, 1)."""
 
@@ -80,6 +76,14 @@ class PremiseFails(ThreshlabError):
     def __init__(self, which: str, detail: str = ""):
         self.which = which
         super().__init__(f"premise failed: {which}" + (f" ({detail})" if detail else ""))
+
+
+class DeltaOutOfRange(PremiseFails):
+    """delta outside (0, 1/11), the two-point inequalities' premise
+    "delta"; they need 11*delta < 1."""
+
+    def __init__(self, detail: str = ""):
+        super().__init__("delta", detail)
 
 
 class TooLarge(ThreshlabError):

@@ -236,14 +236,15 @@ def resolve_estimator(name: str):
 
 def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
                     trial_indices) -> np.ndarray:
-    """The trial kernel: for each trial index t, the estimate of a(P) from
-    draw(P, n, SeedPolicy(master_seed, t)), in the order given.  Trials are
-    drawn and estimated a sub-block at a time (sampling.sub_blocks); the
-    clock reads no sample, so its trials draw none."""
+    """The trial kernel: for each t in the sequence trial_indices, the
+    estimate of a(P) from draw(P, n, SeedPolicy(master_seed, t)), in order.
+    Trials are drawn and estimated a sub-block at a time (sampling.sub_blocks);
+    the clock reads no sample, so its trials draw none."""
     est, _ = resolve_estimator(estimator)
-    seeds = [SeedPolicy(master_seed, t) for t in trial_indices]
+    if len(trial_indices):
+        SeedPolicy(master_seed, min(trial_indices))  # the clock's seeds too
     if estimator == "clock":
-        return np.full(len(seeds), clock_estimator(max(n, 1)))
-    blocks = sub_blocks(seeds, n, P.marginal.envelope)
+        return np.full(len(trial_indices), clock_estimator(max(n, 1)))
+    blocks = sub_blocks(trial_indices, n, P.marginal.envelope)
     return np.concatenate([np.empty(0)] + [
-        est(*draw_block(P, n, block)) for block in blocks])
+        est(*draw_block(P, n, master_seed, block)) for block in blocks])

@@ -93,11 +93,10 @@ def _stream_master(master_seed: int, est_name: str, n: int) -> int:
 
 
 def _trial_block(P, est_name, n, start, stop, stream_master):
-    """Score trials [start, stop) of one stream; returns [(abs_err, excess)]."""
-    a = P.threshold
+    """Score trials [start, stop) of one stream; returns the arrays
+    |a_hat - a(P)| and excess risk, one entry per trial."""
     a_hats = estimate_trials(P, est_name, n, stream_master, range(start, stop))
-    return [(abs(a_hat - a), excess) for a_hat, excess in
-            zip(a_hats.tolist(), excess_risk(P, a_hats).tolist())]
+    return np.abs(a_hats - P.threshold), excess_risk(P, a_hats)
 
 
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
@@ -110,33 +109,34 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     P.marginal.envelope  # cached before the jobs pickle P, not once per job
     cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
-    starts = range(0, cfg.trials, chunk)
     jobs = [(P, est, n, lo, min(lo + chunk, cfg.trials),
              _stream_master(cfg.master_seed, est, n))
-            for est, n in cells for lo in starts]
+            for est, n in cells for lo in range(0, cfg.trials, chunk)]
     # a fork pool starts all its processes up front, so start no more than
     # there are jobs
     workers = min(cfg.workers, len(jobs))
     if workers <= 1:
-        blocks = iter(list(itertools.starmap(_trial_block, jobs)))
+        blocks = list(itertools.starmap(_trial_block, jobs))
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            blocks = iter(list(pool.map(_trial_block, *zip(*jobs))))
+            blocks = list(pool.map(_trial_block, *zip(*jobs)))
+    # a cell's blocks are consecutive and hold cfg.trials trials; a block is
+    # the pair (errors, excess risks)
+    errs, excess = (np.concatenate([np.empty(0), *(b[k] for b in blocks)])
+                    .reshape(len(cells), cfg.trials) for k in (0, 1))
     return RateReport(rows=tuple(
-        _aggregate(cfg, P.name, est, n,
-                   [r for _ in starts for r in next(blocks)])
-        for est, n in cells))
+        _aggregate(cfg, P.name, est, n, e, x)
+        for (est, n), e, x in zip(cells, errs, excess)))
 
 
 def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
-               results) -> RateRow:
-    scale = n ** (1.0 / 3.0)
-    if results:
-        errs = np.array([r[0] for r in results]) * scale
-        excess = np.array([r[1] for r in results]) * n ** (2.0 / 3.0)
+               errs, excess) -> RateRow:
+    """One cell's row from its trials' |a_hat - a(P)| and excess risk."""
+    if len(errs):
+        errs = errs * n ** (1.0 / 3.0)
         q50, q90, q95 = (float(q) for q in
                          np.quantile(errs, [0.5, 0.9, 0.95], method="linear"))
-        mean_excess = float(np.mean(excess))
+        mean_excess = float(np.mean(excess * n ** (2.0 / 3.0)))
     else:
         q50 = q90 = q95 = mean_excess = float("nan")
     return RateRow(
@@ -255,12 +255,9 @@ def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     csv_path = os.path.join(out_dir, "rates.csv")
-    try:
-        with open(csv_path, "w") as fh:
-            for line in rates_csv_lines(report):
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise ThreshlabError(f"cannot write {csv_path}: {exc}") from exc
+    with open(csv_path, "w") as fh:
+        for line in rates_csv_lines(report):
+            fh.write(line + "\n")
     paths.append(csv_path)
     json_path = os.path.join(out_dir, "rates.json")
     # the statistics of a zero-trial row are NaN; JSON has no NaN, so null

@@ -87,7 +87,6 @@ class DisjunctionReport:
     stderr_p: float
     chi_mean_q: float
     stderr_q: float
-    delta: float
     trials: int
     holds: bool
 
@@ -102,8 +101,6 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (0.0 < delta < 1.0 / 11.0):
-        raise PremiseFails("delta", f"delta={delta} outside (0, 1/11)")
     h, budget, separation = two_point_premises(P, Q, beta, delta)
     if n * h > budget:
         raise PremiseFails("entropy", f"nH={n * h:.4g} > {budget:.4g}")
@@ -125,7 +122,7 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     return DisjunctionReport(
         chi_mean_p=means[0], stderr_p=errs[0],
         chi_mean_q=means[1], stderr_q=errs[1],
-        delta=delta, trials=trials, holds=holds,
+        trials=trials, holds=holds,
     )
 
 

@@ -45,9 +45,6 @@ def default_bump() -> CosSquaredProfile:
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    base: DensityPair
-    phi: CosSquaredProfile
-    delta: float
     n: int
     eps: float
     c4: float
@@ -74,20 +71,27 @@ def _max_admissible_eps(P: DensityPair, phi: CosSquaredProfile) -> float:
     return 0.5 * min(room, 1.0)
 
 
+def _log_11_delta(delta: float) -> float:
+    """|log(11 delta)|, for the 0 < delta < 1/11 that the two-point
+    inequalities need."""
+    if not (0.0 < delta < 1.0 / 11.0):
+        raise DeltaOutOfRange(f"delta={delta} outside (0, 1/11)")
+    return abs(math.log(11.0 * delta))
+
+
 def make_plan(P: DensityPair, phi: CosSquaredProfile, delta: float,
               n: int) -> PerturbationPlan:
     """Amplitude schedule eps_n = c4 |log(11 delta)|^(1/3) n^(-1/3)."""
-    if not (0.0 < delta < 1.0 / 11.0):
-        raise DeltaOutOfRange(f"delta={delta}; need 0 < delta < 1/11")
+    log_11_delta = _log_11_delta(delta)
     if n < 1:
         raise ValueError("n must be >= 1")
     c4 = _c4(P, phi)
-    eps = c4 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0) * n ** (-1.0 / 3.0)
+    eps = c4 * log_11_delta ** (1.0 / 3.0) * n ** (-1.0 / 3.0)
     eps_max = _max_admissible_eps(P, phi)
     if eps > eps_max:
         raise EpsTooLarge(f"eps={eps:.4g} exceeds the admissible amplitude "
                           f"{eps_max:.4g} for {P.name}")
-    return PerturbationPlan(base=P, phi=phi, delta=delta, n=n, eps=eps, c4=c4)
+    return PerturbationPlan(n=n, eps=eps, c4=c4)
 
 
 def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
@@ -155,9 +159,10 @@ def two_point_premises(P: DensityPair, Q: DensityPair, beta: float,
                        delta: float) -> tuple:
     """(H, budget, separation) for the two-point premises, the one rule of
     build_certificate and lowerbound.disjunction_check:
-    n H(P, Q) <= budget = (1/2)|log(11 delta)| and beta |a(P) - a(Q)| > 4."""
-    separation = beta * abs(P.threshold - Q.threshold)
-    return relative_entropy(P, Q), 0.5 * abs(math.log(11.0 * delta)), separation
+    n H(P, Q) <= budget = (1/2)|log(11 delta)| and beta |a(P) - a(Q)| > 4.
+    A delta outside (0, 1/11) raises before any quadrature."""
+    budget = 0.5 * _log_11_delta(delta)
+    return relative_entropy(P, Q), budget, beta * abs(P.threshold - Q.threshold)
 
 
 def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
@@ -167,7 +172,7 @@ def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
     plan = make_plan(P, phi, delta, n)
     q = perturb(P, phi, plan.eps)
     c1 = estimate_c1(P, phi)
-    beta = n ** (1.0 / 3.0) / (c1 * abs(math.log(11.0 * delta)) ** (1.0 / 3.0))
+    beta = n ** (1.0 / 3.0) / (c1 * _log_11_delta(delta) ** (1.0 / 3.0))
     entropy, budget, separation = two_point_premises(P, q, beta, delta)
     return TwoPointCertificate(
         plan=plan,

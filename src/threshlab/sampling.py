@@ -59,10 +59,9 @@ class SeedPolicy:
 
 @functools.cache
 def _words_type() -> type:
-    """The seed material that hands a bit generator the given uint64 words
-    as they are: Philox takes two as its key, PCG64 four as its initial
-    state and stream.  Built on first use, so that `import threshlab` does
-    not import numpy.random, which numpy loads lazily."""
+    """The seed material that hands PCG64 four given uint64 words as its
+    initial state and stream.  Built on first use, so that `import
+    threshlab` does not import numpy.random, which numpy loads lazily."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
@@ -76,20 +75,16 @@ def _words_type() -> type:
     return Words
 
 
-def _trial_generators(seeds) -> list:
-    """One Generator per seed, on that trial's stream; the seeds share one
-    master seed."""
-    if len({seed.master_seed for seed in seeds}) > 1:
-        raise ValueError("the seeds of a block must share one master seed")
-    if not seeds:
+def _trial_generators(master_seed: int, trials) -> list:
+    """One Generator per trial index, on that trial's stream of master_seed."""
+    if not len(trials):
         return []
+    SeedPolicy(master_seed, min(trials))  # the range rule, once a block
     words = _words_type()
-    s = int(seeds[0].master_seed)
-    counter = int(seeds[0].trial_index)
-    key = words(np.array([s % 2 ** 64, s >> 64], dtype=np.uint64))
-    philox = np.random.Philox(key, counter=counter)
+    counter = int(trials[0])
+    philox = np.random.Philox(key=master_seed, counter=counter)
     gens = []
-    for t in (int(seed.trial_index) for seed in seeds):
+    for t in map(int, trials):
         if t != counter:
             philox.advance((t - counter) % 2 ** 256)
         counter = t + 1  # random_raw(4) reads one counter's block
@@ -111,7 +106,7 @@ class LabeledSample:
 
 def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     """n i.i.d. copies of (X, Y) under P, fully deterministic given the seed."""
-    x, y = draw_block(P, n, [seed])
+    x, y = draw_block(P, n, seed.master_seed, [seed.trial_index])
     return LabeledSample(x=x[0], y=y[0])
 
 
@@ -123,9 +118,10 @@ def _proposal_size(m: int, envelope: float) -> int:
     return math.ceil(m * c + _PROPOSAL_SDS * math.sqrt(m * c * (c - 1.0)))
 
 
-def draw_block(P: DensityPair, n: int, seeds) -> tuple:
-    """Samples of n points for a list of seeds, as (x, y) arrays of shape
-    (len(seeds), n); row k is draw(P, n, seeds[k]).
+def draw_block(P: DensityPair, n: int, master_seed: int, trials) -> tuple:
+    """Samples of n points for a sequence of trial indices, as (x, y) arrays
+    of shape (len(trials), n); row k is draw(P, n, SeedPolicy(master_seed,
+    trials[k])).
 
     Each round stacks the proposals of every stream still short of n, so
     the marginal's f_sigma is evaluated once per round; every proposal is
@@ -136,11 +132,11 @@ def draw_block(P: DensityPair, n: int, seeds) -> tuple:
         raise ValueError("n must be >= 0")
     M = P.marginal
     envelope = M.envelope
-    gens = _trial_generators(seeds)
-    x = np.empty((len(seeds), n))
-    fsum = np.empty((len(seeds), n))
-    got = [0] * len(seeds)
-    short = list(range(len(seeds))) if n > 0 else []
+    gens = _trial_generators(master_seed, trials)
+    x = np.empty((len(gens), n))
+    fsum = np.empty((len(gens), n))
+    got = [0] * len(gens)
+    short = list(range(len(gens))) if n > 0 else []
     while short:
         ends = np.cumsum([_proposal_size(n - got[k], envelope) for k in short])
         u = np.empty(ends[-1])
@@ -175,13 +171,13 @@ def draw_block(P: DensityPair, n: int, seeds) -> tuple:
     return x, y.reshape(x.shape)
 
 
-def sub_blocks(seeds, n: int, envelope: float) -> list:
-    """Consecutive runs of seeds whose first-round abscissae and acceptance
+def sub_blocks(trials, n: int, envelope: float) -> list:
+    """Consecutive runs of trials whose first-round abscissae and acceptance
     uniforms at sample size n hold at most _MAX_BLOCK_UNIFORMS doubles, one
-    seed at the least."""
-    per_seed = 2 * max(_proposal_size(n, envelope), 1)
-    size = max(1, _MAX_BLOCK_UNIFORMS // per_seed)
-    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    trial at the least."""
+    per_trial = 2 * max(_proposal_size(n, envelope), 1)
+    size = max(1, _MAX_BLOCK_UNIFORMS // per_trial)
+    return [trials[i:i + size] for i in range(0, len(trials), size)]
 
 
 def cdf_sigma(P: DensityPair, x: float) -> float:

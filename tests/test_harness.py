@@ -464,6 +464,21 @@ def test_cli_usage_errors_print_one_error_line(argv, capsys):
     assert "usage:" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("where", ["out-is-a-file", "csv-is-a-directory"])
+def test_cli_rates_write_errors_exit_2(where, tmp_path, capsys):
+    out = tmp_path / "out"
+    if where == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / "rates.csv").mkdir(parents=True)
+    assert cli.main(["--trials", "2", "--out", str(out), "rates",
+                     "--estimators", "erm", "--n-list", "8"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+
+
 def test_cli_help_returns_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["rates", "--help"]) == 0

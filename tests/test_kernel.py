@@ -224,7 +224,7 @@ def bits(values):
 def test_draw_block_rows_equal_per_stream_loop(name, n):
     P = MODELS[name]
     seeds = [SeedPolicy(2024, t) for t in (7, 0, 3, 11, 12)]
-    x, y = draw_block(P, n, seeds)
+    x, y = draw_block(P, n, 2024, [seed.trial_index for seed in seeds])
     assert x.shape == y.shape == (len(seeds), n)
     for k, seed in enumerate(seeds):
         rx, ry, _ = reference_draw(P, n, seed)
@@ -246,7 +246,7 @@ def test_low_acceptance_pair_forces_refill_rounds():
     assert refill
     # in one block with streams that need one round, each row still matches
     seeds = [SeedPolicy(master, t) for t in sorted({0, 1, 2, *refill})]
-    x, y = draw_block(P, n, seeds)
+    x, y = draw_block(P, n, master, [seed.trial_index for seed in seeds])
     for k, seed in enumerate(seeds):
         rx, ry, _ = reference_draw(P, n, seed)
         assert x[k].tobytes() == rx.tobytes()
@@ -259,13 +259,15 @@ def test_low_acceptance_pair_forces_refill_rounds():
 def test_trial_block_equals_per_trial_reference(name, n, estimator):
     P = MODELS[name]
     start, stop, master = 5, 5 + 12, 987654321
-    got = harness._trial_block(P, estimator, n, start, stop, master)
-    want = []
+    errs, excess = harness._trial_block(P, estimator, n, start, stop, master)
+    want_errs, want_excess = [], []
     for t in range(start, stop):
         x, y, _ = reference_draw(P, n, SeedPolicy(master, t))
         a_hat = float(REFERENCE[estimator](x, y))
-        want.append((abs(a_hat - P.threshold), excess_risk(P, a_hat)))
-    assert bits(got) == bits(want)
+        want_errs.append(abs(a_hat - P.threshold))
+        want_excess.append(excess_risk(P, a_hat))
+    assert bits(errs) == bits(want_errs)
+    assert bits(excess) == bits(want_excess)
 
 
 def test_erm_block_equals_reference_with_ties():
@@ -345,13 +347,13 @@ def test_envelope_violation_still_raises():
     P = builtin_model("canonical")
     P.__dict__["envelope"] = 0.5  # below f_sigma = 1
     with pytest.raises(EnvelopeViolated):
-        draw_block(P, 10, [SeedPolicy(1, t) for t in range(3)])
+        draw_block(P, 10, 1, range(3))
     with pytest.raises(EnvelopeViolated):
         estimate_trials(P, "erm", 10, 1, range(3))
 
 
 def test_clock_trials_draw_nothing(monkeypatch):
-    def no_draw(P, n, seeds):
+    def no_draw(P, n, master_seed, trials):
         raise AssertionError("the clock drew a sample")
 
     monkeypatch.setattr(estimators, "draw_block", no_draw)
@@ -362,12 +364,25 @@ def test_clock_trials_draw_nothing(monkeypatch):
     assert estimate_trials(P, "clock", 10, 3, []).shape == (0,)
 
 
+@pytest.mark.parametrize("master, trial", [(-1, 0), (2 ** 128, 0), (0, -1)])
+def test_kernel_rejects_seeds_without_a_stream(master, trial):
+    # the range rule of SeedPolicy, for the last trial of a block too, and
+    # for the clock, which draws nothing
+    P = builtin_model("canonical")
+    trials = [3, 0, trial] if trial < 0 else [0, 1]
+    with pytest.raises(ValueError):
+        draw_block(P, 10, master, trials)
+    for name in ("erm", "clock"):
+        with pytest.raises(ValueError):
+            estimate_trials(P, name, 10, master, trials)
+
+
 def test_sub_blocks_respect_the_uniform_cap(monkeypatch):
     blocks = []
 
-    def recording_draw_block(P, n, seeds):
-        blocks.append((n, len(seeds)))
-        return draw_block(P, n, seeds)
+    def recording_draw_block(P, n, master_seed, trials):
+        blocks.append((n, len(trials)))
+        return draw_block(P, n, master_seed, trials)
 
     monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
     P = builtin_model("canonical")
@@ -534,8 +549,8 @@ def test_draw_evaluates_the_bump_only_on_its_support(monkeypatch):
     assert 0.07 * n < len(x) < 0.10 * n
 
 
-def draw_digest(P, n, seeds):
-    x, y = draw_block(P, n, seeds)
+def draw_digest(P, n, master_seed, trials):
+    x, y = draw_block(P, n, master_seed, trials)
     h = hashlib.sha256(x.astype(float).tobytes())
     h.update(y.astype(np.int8).tobytes())
     return h.hexdigest()
@@ -561,11 +576,9 @@ def test_certified_q_draws_match_golden_digests(name):
     Q = SUPPORT_MODELS[f"{name}-certified-q"]
     for (model, seed), digest in GOLDEN_Q.items():
         if model == name:
-            seeds = [SeedPolicy(seed, t) for t in (0, 1)]
-            assert draw_digest(Q, 10 ** 4, seeds) == digest
+            assert draw_digest(Q, 10 ** 4, seed, (0, 1)) == digest
 
 
 def test_canonical_draws_match_golden_digest():
-    seeds = [SeedPolicy(11, t) for t in range(32)]
-    assert draw_digest(builtin_model("canonical"), 250, seeds) == \
+    assert draw_digest(builtin_model("canonical"), 250, 11, range(32)) == \
         "00ba7f42f4e6f5bdd3cf36aee9dd1654d94d4485607c675439404ed939ecdd34"
