@@ -3,14 +3,13 @@
 Runs (estimator, n) sweeps with pre-assigned per-trial seeds, aggregates
 quantiles of the critically scaled error n^(1/3)|a_hat - a(P)| and the mean
 of n^(2/3) times the excess risk, and writes CSV / JSON / SVG reports.
-Trial blocks come back in submission order, so the report is
-byte-identical for any worker count.
+Every trial's value is independent of which process scores it, so the
+report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import json
 import math
 import zlib
@@ -23,7 +22,7 @@ from .estimators import estimate_trials, resolve_estimator
 from .model import DensityPair, resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk
-from .sampling import STREAM_VERSION
+from .sampling import STREAM_VERSION, SeedPolicy
 
 __all__ = [
     "ExperimentConfig",
@@ -55,6 +54,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        SeedPolicy(self.master_seed)  # the range rule of every stream
         # estimator names must resolve now, not at trial time
         for name in self.estimators:
             resolve_estimator(name)
@@ -99,34 +99,44 @@ def _trial_block(P, est_name, n, start, stop, stream_master):
     return np.abs(a_hats - P.threshold), excess_risk(P, a_hats)
 
 
+def _score_share(P, pieces):
+    """One share of a sweep: the (errors, excess) block of each piece
+    (est_name, n, start, stop, stream_master), in order."""
+    return [_trial_block(P, *piece) for piece in pieces]
+
+
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """One RateRow per (estimator, n); deterministic given master_seed.
 
-    Every (estimator, n, block) job goes out in one ordered map, so the rows
-    do not depend on the worker count or on which block finishes first.
+    Each cell's trials are cut into k = min(workers, trials) consecutive
+    shares.  This process scores share 0 of every cell while a pool of
+    k - 1 processes, started and reaped inside the call, scores the others,
+    one share a process; the blocks are put back in (cell, trial) order, so
+    the rows do not depend on the worker count.
     """
     P = resolve_model(cfg.model)
-    P.marginal.envelope  # cached before the jobs pickle P, not once per job
-    cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
-    chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
-    jobs = [(P, est, n, lo, min(lo + chunk, cfg.trials),
-             _stream_master(cfg.master_seed, est, n))
-            for est, n in cells for lo in range(0, cfg.trials, chunk)]
-    # a fork pool starts all its processes up front, so start no more than
-    # there are jobs
-    workers = min(cfg.workers, len(jobs))
-    if workers <= 1:
-        blocks = list(itertools.starmap(_trial_block, jobs))
+    P.marginal.envelope  # cached before a share pickles P
+    cells = [(est, n, _stream_master(cfg.master_seed, est, n))
+             for est in cfg.estimators for n in cfg.n_list]
+    k = min(cfg.workers, cfg.trials)
+    shares = [[(est, n, cfg.trials * i // k, cfg.trials * (i + 1) // k, seed)
+               for est, n, seed in cells] for i in range(k)]
+    if k <= 1:
+        scored = [_score_share(P, share) for share in shares]
     else:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            blocks = list(pool.map(_trial_block, *zip(*jobs)))
-    # a cell's blocks are consecutive and hold cfg.trials trials; a block is
-    # the pair (errors, excess risks)
-    errs, excess = (np.concatenate([np.empty(0), *(b[k] for b in blocks)])
-                    .reshape(len(cells), cfg.trials) for k in (0, 1))
+        with concurrent.futures.ProcessPoolExecutor(k - 1) as pool:
+            children = [pool.submit(_score_share, P, share)
+                        for share in shares[1:]]
+            scored = [_score_share(P, shares[0]),
+                      *(child.result() for child in children)]
+    # a block is the pair (errors, excess risks); a cell's blocks, one a
+    # share, hold its cfg.trials trials in order
+    blocks = [block for cell in zip(*scored) for block in cell]
+    errs, excess = (np.concatenate([np.empty(0), *(b[j] for b in blocks)])
+                    .reshape(len(cells), cfg.trials) for j in (0, 1))
     return RateReport(rows=tuple(
         _aggregate(cfg, P.name, est, n, e, x)
-        for (est, n), e, x in zip(cells, errs, excess)))
+        for (est, n, _), e, x in zip(cells, errs, excess)))
 
 
 def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,

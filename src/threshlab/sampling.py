@@ -59,9 +59,10 @@ class SeedPolicy:
 
 @functools.cache
 def _words_type() -> type:
-    """The seed material that hands PCG64 four given uint64 words as its
-    initial state and stream.  Built on first use, so that `import
-    threshlab` does not import numpy.random, which numpy loads lazily."""
+    """The seed material that hands a bit generator given uint64 words:
+    Philox its two-word key, PCG64 its initial state and stream.  Built on
+    first use, so that `import threshlab` does not import numpy.random,
+    which numpy loads lazily."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
@@ -82,7 +83,11 @@ def _trial_generators(master_seed: int, trials) -> list:
     SeedPolicy(master_seed, min(trials))  # the range rule, once a block
     words = _words_type()
     counter = int(trials[0])
-    philox = np.random.Philox(key=master_seed, counter=counter)
+    # the key as seed material: key= would first build a SeedSequence from
+    # OS entropy and throw it away
+    key = np.array([master_seed & (2 ** 64 - 1), master_seed >> 64],
+                   dtype=np.uint64)
+    philox = np.random.Philox(words(key), counter=counter)
     gens = []
     for t in map(int, trials):
         if t != counter:

@@ -1,7 +1,8 @@
 """Experiment driver: determinism, report formats, and the CLI."""
 
-import itertools
+import concurrent.futures
 import json
+import multiprocessing
 import pickle
 import xml.etree.ElementTree as ET
 
@@ -74,10 +75,26 @@ def test_sweep_is_deterministic_across_worker_counts():
     assert list(rates_csv_lines(serial)) == list(rates_csv_lines(parallel))
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_reports_are_byte_identical_when_shares_are_uneven(workers, tmp_path):
+    # 41 trials cut into 2, 3 or 8 shares of unequal sizes
+    paths = [emit_outputs(rate_sweep(small_config(workers=w, trials=41)),
+                          tmp_path / f"w{w}") for w in (1, workers)]
+    for serial, pooled in zip(*paths):
+        assert open(serial, "rb").read() == open(pooled, "rb").read()
+
+
+def test_pooled_sweep_reaps_its_processes():
+    rate_sweep(small_config(workers=2, trials=4))
+    assert multiprocessing.active_children() == []
+
+
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    submission's pickled bytes, and runs the submissions serially."""
 
     started = []
+    shipped = []
 
     def __init__(self, max_workers):
         RecordingPool.started.append(max_workers)
@@ -88,46 +105,46 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        message = pickle.dumps((fn, args))
+        RecordingPool.shipped.append(message)
+        fn, args = pickle.loads(message)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
-@pytest.mark.parametrize("trials, started", [(40, [8]), (3, [3]), (1, []),
-                                             (0, [])])
-def test_pool_starts_at_most_one_process_per_job(trials, started,
-                                                 monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "shipped", [])
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
+    return RecordingPool
+
+
+@pytest.mark.parametrize("trials, started", [(40, [7]), (3, [2]), (1, []),
+                                             (0, [])])
+def test_pool_starts_at_most_one_process_per_job(trials, started,
+                                                 recording_pool):
     cfg = ExperimentConfig(model="canonical", estimators=("erm",),
                            n_list=(64,), trials=trials, master_seed=1,
                            workers=8)
     report = rate_sweep(cfg)
-    assert RecordingPool.started == started
+    # this process scores one share, so a pool of k - 1 for k shares
+    assert recording_pool.started == started
+    assert len(recording_pool.shipped) == sum(started)
     assert [r.trials for r in report.rows] == [trials]
 
 
-class PicklingPool(RecordingPool):
-    """A RecordingPool that ships each job's arguments through pickle, as a
-    process pool does, and records the pickled bytes."""
-
-    shipped = []
-
-    def map(self, fn, *iterables):
-        jobs = [pickle.dumps(args) for args in zip(*iterables)]
-        PicklingPool.shipped.extend(jobs)
-        return itertools.starmap(fn, map(pickle.loads, jobs))
-
-
-def test_pooled_jobs_ship_the_pair_with_its_envelope(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(PicklingPool, "shipped", [])
-    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
-                        PicklingPool)
-    report = rate_sweep(small_config(workers=2))
-    assert len(PicklingPool.shipped) == 32  # 2 estimators x 2 n x 8 blocks
-    for job in PicklingPool.shipped:
-        assert "envelope" in vars(pickle.loads(job)[0])
+def test_pooled_jobs_ship_the_pair_with_its_envelope(recording_pool):
+    report = rate_sweep(small_config(workers=3))
+    # one message a child, carrying the pair and the pieces of every cell
+    assert len(recording_pool.shipped) == 2
+    for message in recording_pool.shipped:
+        _, (pair, pieces) = pickle.loads(message)
+        assert "envelope" in vars(pair)
+        assert len(pieces) == 4  # 2 estimators x 2 n
     assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
 
 
@@ -441,6 +458,19 @@ def test_cli_rejects_workers_below_one_before_any_file(workers, tmp_path,
                      "--workers", workers]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "workers" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 128), str(2 ** 200), "-1"])
+def test_cli_rates_rejects_a_seed_without_a_stream(seed, tmp_path, capsys):
+    assert cli.main(["--seed", seed, "--trials", "2",
+                     "--out", str(tmp_path / "out"), "rates",
+                     "--estimators", "erm", "--n-list", "8"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "2^128" in lines[0]
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
