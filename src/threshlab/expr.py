@@ -23,8 +23,7 @@ input evaluates every term.
 
 `jet(x)` is (val(x), der(x)) from one walk of the tree by the same formulas
 and support rule: a leaf's jet calls its `val` and `der`, and any other
-node's `der(x)` is `jet(x)[1]`.  Jets memoize per (node, input array), for
-one call or across the calls given one memo: a shared subtree is walked once.
+node's `der(x)` is `jet(x)[1]`.
 """
 
 from __future__ import annotations
@@ -55,21 +54,14 @@ _SUPPORT_PAD_ULPS = 4
 
 
 class Field:
-    """A C^1 scalar field: subclasses define val, and der (a leaf) or _jet."""
+    """A C^1 scalar field: subclasses define val, and der (a leaf) or jet."""
 
     def der(self, x):
         return self.jet(x)[1]
 
-    def _jet(self, x, memo):
+    def jet(self, x) -> tuple:
+        """(val(x), der(x)) from one walk of the tree (module docstring)."""
         return self.val(x), self.der(x)
-
-    def jet(self, x, memo=None) -> tuple:
-        """(val(x), der(x)), kept in `memo` (module docstring); val never memoizes."""
-        x, memo = np.asarray(x, dtype=float), {} if memo is None else memo
-        key = id(self), id(x)
-        if key not in memo:  # the entry holds x, so its id stays unique
-            memo[key] = x, self._jet(x, memo)
-        return memo[key][1]
 
     @cached_property
     def support(self) -> tuple:
@@ -166,16 +158,17 @@ class Sum(Field):
                 out[inside] += t.val(x[inside])
         return out
 
-    def _jet(self, x, memo):
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
         val, der = np.zeros(x.shape), np.zeros(x.shape)
         for t in self.terms:
             lo, hi = t.support
             if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
-                v, d = t.jet(x, memo)
+                v, d = t.jet(x)
                 val, der = val + v, der + d
             else:
                 inside = np.nonzero((x >= lo) & (x <= hi))
-                v, d = t.jet(x[inside], memo)
+                v, d = t.jet(x[inside])
                 val[inside] += v
                 der[inside] += d
         return val, der
@@ -194,8 +187,8 @@ class Product(Field):
     def val(self, x):
         return self.left.val(x) * self.right.val(x)
 
-    def _jet(self, x, memo):
-        (lv, ld), (rv, rd) = self.left.jet(x, memo), self.right.jet(x, memo)
+    def jet(self, x):
+        (lv, ld), (rv, rd) = self.left.jet(x), self.right.jet(x)
         return lv * rv, ld * rv + lv * rd
 
 
@@ -211,8 +204,8 @@ class Quotient(Field):
     def val(self, x):
         return self.num.val(x) / self.den.val(x)
 
-    def _jet(self, x, memo):
-        (nv, nd), (dv, dd) = self.num.jet(x, memo), self.den.jet(x, memo)
+    def jet(self, x):
+        (nv, nd), (dv, dd) = self.num.jet(x), self.den.jet(x)
         return nv / dv, (nd * dv - nv * dd) / (dv * dv)
 
 
@@ -269,8 +262,9 @@ class BumpComposite(Field):
         x = np.asarray(x, dtype=float)
         return self.eps * self.profile.val((x - self.center) / self.eps)
 
-    def _jet(self, x, memo):
-        pv, pd = self.profile.jet((x - self.center) / self.eps, memo)
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
+        pv, pd = self.profile.jet((x - self.center) / self.eps)
         return self.eps * pv, pd
 
 

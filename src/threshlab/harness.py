@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import sys
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -124,7 +125,10 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     if k <= 1:
         scored = [_score_share(P, share) for share in shares]
     else:
-        with concurrent.futures.ProcessPoolExecutor(k - 1) as pool:
+        import multiprocessing  # only a pooled sweep pays for this import
+        # fork on Linux (forkserver is its default from Python 3.14), else the default
+        fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with concurrent.futures.ProcessPoolExecutor(k - 1, mp_context=fork) as pool:
             children = [pool.submit(_score_share, P, share)
                         for share in shares[1:]]
             scored = [_score_share(P, shares[0]),

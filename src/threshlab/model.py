@@ -57,10 +57,10 @@ class DensityPair:
     __post_init__.  `sup_density()` and the sampling `envelope` are cached
     per pair on first use and pickled with it (`harness.rate_sweep` computes
     the envelope before it ships the pair to its workers), as is each Field
-    node's `support`.  `perturbation.estimate_c1` is memoized on the value
+    node's `support`.  `perturbation.estimate_c1` is cached on the value
     of (pair, bump), so equal pairs share one c1.
 
-    `name` has no comma or line break (it lands in unquoted CSV cells).
+    `name` has no comma, double quote or line break (CSV cells are unquoted).
     `breakpoints` lists interior x where some derivative of the densities
     jumps (bump support edges); quadrature makes them panel boundaries.
     `base` is set by `perturb` alone, to the unperturbed pair whose f_sigma
@@ -76,8 +76,9 @@ class DensityPair:
     threshold: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if any(c in self.name for c in ",\r\n"):
-            raise InvalidModel(f"name {self.name!r} contains a comma or line break")
+        if any(c in self.name for c in ',"\r\n'):
+            raise InvalidModel(f"name {self.name!r} contains a comma or line "
+                               "break, or a double quote")
         object.__setattr__(self, "threshold", _solve_threshold(self))
 
     @property
@@ -96,8 +97,7 @@ class DensityPair:
         return self.fplus.val(x) - self.fminus.val(x)
 
     def margin_der(self, x):
-        x, memo = np.asarray(x, dtype=float), {}
-        return self.fplus.jet(x, memo)[1] - self.fminus.jet(x, memo)[1]
+        return self.fplus.der(x) - self.fminus.der(x)
 
     @cached_property
     def envelope(self) -> float:
@@ -106,8 +106,8 @@ class DensityPair:
         It must dominate the X-marginal f_sigma = f+ + f-, not the per-label
         sup: grid sup plus a Lipschitz pad, then a safety factor.
         """
-        grid, memo = np.linspace(0.0, 1.0, _ENVELOPE_GRID), {}
-        (pv, pd), (mv, md) = self.fplus.jet(grid, memo), self.fminus.jet(grid, memo)
+        grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
+        (pv, pd), (mv, md) = self.fplus.jet(grid), self.fminus.jet(grid)
         sup = _padded_range(pv + mv, np.abs(pd) + np.abs(md), grid[1] - grid[0])[1]
         return _ENVELOPE_FACTOR * sup
 
@@ -118,19 +118,19 @@ class DensityPair:
 
     @cached_property
     def _sup_density(self) -> float:
-        x, memo = np.linspace(0.0, 1.0, _NONNEG_GRID), {}
+        x = np.linspace(0.0, 1.0, _NONNEG_GRID)
         return max(_padded_range(v, np.abs(d), x[1] - x[0])[1]
-                   for v, d in (f.jet(x, memo) for f in (self.fplus, self.fminus)))
+                   for v, d in (f.jet(x) for f in (self.fplus, self.fminus)))
 
     def validate(self) -> dict:
         """Run every class-membership invariant; returns name -> (ok, detail)."""
         from .divergence import QuadratureSpec, adaptive_simpson
 
         report = {}
-        x, memo = np.linspace(0.0, 1.0, _NONNEG_GRID), {}
+        x = np.linspace(0.0, 1.0, _NONNEG_GRID)
         h = x[1] - x[0]
         for label, f in (("fplus", self.fplus), ("fminus", self.fminus)):
-            v, d = f.jet(x, memo)
+            v, d = f.jet(x)
             ok, gmin = nonneg_on_grid(f, v)
             certified = _padded_range(gmin, np.abs(d), h)[0]
             report[f"nonneg_{label}"] = (

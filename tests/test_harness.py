@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import pickle
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -90,14 +91,16 @@ def test_pooled_sweep_reaps_its_processes():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each
-    submission's pickled bytes, and runs the submissions serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers, mp_context and
+    each submission's pickled bytes, and runs the submissions serially."""
 
     started = []
+    contexts = []
     shipped = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         RecordingPool.started.append(max_workers)
+        RecordingPool.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -117,6 +120,7 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "contexts", [])
     monkeypatch.setattr(RecordingPool, "shipped", [])
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
@@ -146,6 +150,14 @@ def test_pooled_jobs_ship_the_pair_with_its_envelope(recording_pool):
         assert "envelope" in vars(pair)
         assert len(pieces) == 4  # 2 estimators x 2 n
     assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is named on Linux only")
+def test_pool_forks_its_workers_on_linux(recording_pool):
+    # named, not left to the default, which Python 3.14 makes forkserver
+    rate_sweep(small_config(workers=2))
+    [context] = recording_pool.contexts
+    assert context.get_start_method() == "fork"
 
 
 def test_sweep_repeatable_in_process():

@@ -191,7 +191,7 @@ def test_model_from_config_name_relabels_only():
     assert named.base == plain.base and plain.base.name == "curved"
 
 
-@pytest.mark.parametrize("name", ["a,b", "a\nb"])
+@pytest.mark.parametrize("name", ["a,b", "a\nb", '"my model'])
 def test_model_from_config_rejects_csv_breaking_name(name):
     with pytest.raises(InvalidModel):
         model_from_config({"model.family": "canonical", "model.name": name})
