@@ -20,8 +20,8 @@ from .harness import (
     ExperimentConfig,
     certificate_csv_lines,
     certificate_sweep,
+    csv_lines,
     emit_outputs,
-    fmt_float,
     parse_config,
     rate_sweep,
 )
@@ -126,9 +126,8 @@ def _dispatch(args, cfg) -> int:
     if args.command == "sample":
         sample = draw(model, args.n, SeedPolicy(seed))
         print(f"# model={model.name} n={args.n} seed={seed}")
-        print("x,y")
-        for x, y in zip(sample.x, sample.y):
-            print(f"{fmt_float(x)},{int(y)}")
+        for line in csv_lines("x,y", zip(sample.x, sample.y.tolist())):
+            print(line)
         return 0
 
     if args.command == "rates":
@@ -172,9 +171,9 @@ def _dispatch(args, cfg) -> int:
     columns = (alphas, prediction_error(model, alphas),
                excess_risk(model, alphas),
                np.minimum(qb.c9, qb.c3 * gap ** 2), qb.c10 * gap ** 2)
-    print("alpha,loss,excess,lower_bound,upper_bound")
-    for row in zip(*(c.tolist() for c in columns)):
-        print(",".join(fmt_float(v) for v in row))
+    for line in csv_lines("alpha,loss,excess,lower_bound,upper_bound",
+                          zip(*(c.tolist() for c in columns))):
+        print(line)
     return 0
 
 

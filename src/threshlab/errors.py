@@ -78,13 +78,5 @@ class PremiseFails(ThreshlabError):
         super().__init__(f"premise failed: {which}" + (f" ({detail})" if detail else ""))
 
 
-class DeltaOutOfRange(PremiseFails):
-    """delta outside (0, 1/11), the two-point inequalities' premise
-    "delta"; they need 11*delta < 1."""
-
-    def __init__(self, detail: str = ""):
-        super().__init__("delta", detail)
-
-
 class TooLarge(ThreshlabError):
     """Exhaustive enumeration would exceed the configured size cap."""

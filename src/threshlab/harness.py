@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import os
 import sys
 import zlib
 from dataclasses import asdict, dataclass
@@ -78,11 +79,6 @@ class RateRow:
 @dataclass(frozen=True)
 class RateReport:
     rows: tuple
-
-
-def fmt_float(v: float) -> str:
-    """Shortest round-trip decimal; deterministic across platforms."""
-    return repr(float(v))
 
 
 def _stream_master(master_seed: int, est_name: str, n: int) -> int:
@@ -194,29 +190,34 @@ def certificate_sweep(P: DensityPair, delta: float = 0.05,
 
 
 def _cell(v) -> str:
+    """A CSV cell: blank for None, true/false for a bool, and for a float
+    its shortest round-trip decimal, deterministic across platforms."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
-        return fmt_float(v)
+        return repr(float(v))
     return str(v)
 
 
+def csv_lines(header: str, rows):
+    """The lines of a CSV report: the header, then one line per row of
+    values; every CSV report the CLI prints or writes goes through it."""
+    yield header
+    for row in rows:
+        yield ",".join(_cell(v) for v in row)
+
+
 def rates_csv_lines(report: RateReport):
-    yield RATES_HEADER
-    for r in report.rows:
-        yield ",".join(_cell(v) for v in (
-            r.model, r.estimator, r.L, r.n, r.trials,
-            r.q50, r.q90, r.q95, r.mean_excess_scaled, r.seed,
-        ))
+    keys = RATES_HEADER.split(",")
+    return csv_lines(RATES_HEADER,
+                     ([getattr(r, k) for k in keys] for r in report.rows))
 
 
 def certificate_csv_lines(rows):
-    yield CERT_HEADER
     keys = CERT_HEADER.split(",")
-    for row in rows:
-        yield ",".join(_cell(row[k]) for k in keys)
+    return csv_lines(CERT_HEADER, ([row[k] for k in keys] for row in rows))
 
 
 def _svg(report: RateReport) -> str:
@@ -264,16 +265,6 @@ def _svg(report: RateReport) -> str:
 
 def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
     """Write rates.csv, rates.json, optionally rates.svg; returns the paths."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    csv_path = os.path.join(out_dir, "rates.csv")
-    with open(csv_path, "w") as fh:
-        for line in rates_csv_lines(report):
-            fh.write(line + "\n")
-    paths.append(csv_path)
-    json_path = os.path.join(out_dir, "rates.json")
     # the statistics of a zero-trial row are NaN; JSON has no NaN, so null
     payload = {
         "schema_version": 2,
@@ -284,15 +275,20 @@ def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
             for r in report.rows
         ],
     }
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    paths.append(json_path)
+    texts = {
+        "rates.csv": "".join(line + "\n" for line in rates_csv_lines(report)),
+        "rates.json": json.dumps(payload, indent=1, sort_keys=True,
+                                 allow_nan=False) + "\n",
+    }
     if svg:
-        svg_path = os.path.join(out_dir, "rates.svg")
-        with open(svg_path, "w") as fh:
-            fh.write(_svg(report))
-        paths.append(svg_path)
+        texts["rates.svg"] = _svg(report)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        paths.append(path)
     return paths
 
 

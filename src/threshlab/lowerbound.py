@@ -101,10 +101,11 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    h, budget, separation = two_point_premises(P, Q, beta, delta)
-    if n * h > budget:
+    h, budget, separation, entropy_ok, separation_ok = \
+        two_point_premises(P, Q, n, beta, delta)
+    if not entropy_ok:
         raise PremiseFails("entropy", f"nH={n * h:.4g} > {budget:.4g}")
-    if separation <= 4.0:
+    if not separation_ok:
         raise PremiseFails("separation",
                            f"beta|a(P)-a(Q)|={separation:.4g} <= 4")
     means, errs = [], []

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import relative_entropy
-from .errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, SupportEscapes
+from .errors import EpsTooLarge, NegativeDensity, PremiseFails, SupportEscapes
 from .expr import BumpComposite, Const, CosSquaredProfile
 from .model import DensityPair, nonneg_on_grid
 
@@ -73,9 +73,9 @@ def _max_admissible_eps(P: DensityPair, phi: CosSquaredProfile) -> float:
 
 def _log_11_delta(delta: float) -> float:
     """|log(11 delta)|, for the 0 < delta < 1/11 that the two-point
-    inequalities need."""
+    inequalities need; any other delta fails the premise "delta"."""
     if not (0.0 < delta < 1.0 / 11.0):
-        raise DeltaOutOfRange(f"delta={delta} outside (0, 1/11)")
+        raise PremiseFails("delta", f"delta={delta} outside (0, 1/11)")
     return abs(math.log(11.0 * delta))
 
 
@@ -155,14 +155,17 @@ def _c5(P: DensityPair, phi: CosSquaredProfile) -> float:
     return c5
 
 
-def two_point_premises(P: DensityPair, Q: DensityPair, beta: float,
+def two_point_premises(P: DensityPair, Q: DensityPair, n: int, beta: float,
                        delta: float) -> tuple:
-    """(H, budget, separation) for the two-point premises, the one rule of
-    build_certificate and lowerbound.disjunction_check:
-    n H(P, Q) <= budget = (1/2)|log(11 delta)| and beta |a(P) - a(Q)| > 4.
+    """(H, budget, separation, entropy_ok, separation_ok): the two-point
+    premises n H(P, Q) <= budget = (1/2)|log(11 delta)| and
+    separation = beta |a(P) - a(Q)| > 4, decided here alone for
+    build_certificate and lowerbound.disjunction_check.
     A delta outside (0, 1/11) raises before any quadrature."""
     budget = 0.5 * _log_11_delta(delta)
-    return relative_entropy(P, Q), budget, beta * abs(P.threshold - Q.threshold)
+    h = relative_entropy(P, Q)
+    separation = beta * abs(P.threshold - Q.threshold)
+    return h, budget, separation, bool(n * h <= budget), bool(separation > 4.0)
 
 
 def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
@@ -173,7 +176,8 @@ def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
     q = perturb(P, phi, plan.eps)
     c1 = estimate_c1(P, phi)
     beta = n ** (1.0 / 3.0) / (c1 * _log_11_delta(delta) ** (1.0 / 3.0))
-    entropy, budget, separation = two_point_premises(P, q, beta, delta)
+    entropy, budget, separation, entropy_ok, separation_ok = \
+        two_point_premises(P, q, n, beta, delta)
     return TwoPointCertificate(
         plan=plan,
         q=q,
@@ -182,6 +186,6 @@ def build_certificate(P: DensityPair, phi: CosSquaredProfile, delta: float,
         c1=c1,
         beta=beta,
         separation=separation,
-        entropy_ok=bool(n * entropy <= budget),
-        separation_ok=bool(separation > 4.0),
+        entropy_ok=entropy_ok,
+        separation_ok=separation_ok,
     )

@@ -255,7 +255,7 @@ def test_sweep_computes_c1_window_and_sup_grid_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(perturbation, "_c5", spy("c1_window", perturbation._c5))
     # sup_density pads one grid per label; nothing else on this path does
-    monkeypatch.setattr(model, "_padded_range", spy("sup_grid", model._padded_range))
+    monkeypatch.setattr(model, "_padded_sup", spy("sup_grid", model._padded_sup))
     estimate_c1.cache_clear()
     for name in MODELS:
         P = builtin_model(name)

@@ -6,6 +6,7 @@ import multiprocessing
 import pickle
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,9 @@ from threshlab.harness import (
     rate_sweep,
     rates_csv_lines,
 )
-from threshlab.model import builtin_model, model_from_config
+from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(workers=1, trials=40):
@@ -292,6 +295,38 @@ def test_cli_validate_passes_for_builtin(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+def test_validate_nonneg_details_are_the_grid_min(tmp_path, capsys):
+    """A nonnegativity entry prints only the grid minimum its verdict reads;
+    no validate line claims a certified bound.  The config is README's."""
+    path = tmp_path / "perturbed.cfg"
+    path.write_text("model.family = perturbed\nmodel.base = canonical\n"
+                    "model.eps = 0.1     # comments allowed\n"
+                    "model.name = my-bump\ntrials = 500\nseed = 7\n")
+    cases = [(["validate", name], builtin_model(name))
+             for name in ("canonical", "tilted", "curved")]
+    cases.append((["--config", str(path), "validate"],
+                  model_from_config(parse_config(path))))
+    for argv, P in cases:
+        report = P.validate()
+        for label in ("fplus", "fminus"):
+            gmin = nonneg_on_grid(getattr(P, label))[1]
+            assert report[f"nonneg_{label}"][1] == f"grid min {gmin:.3e}"
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count(" nonneg_") == 2 and "certified" not in out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--seed", "7", "sample", "--model", "canonical", "--n", "20"],
+     "sample_canonical_seed7_n20.txt"),
+    (["risk-curve", "--model", "tilted", "--points", "11"],
+     "risk_curve_tilted_points11.txt"),
+])
+def test_cli_csv_matches_golden_bytes(capsys, argv, golden):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 def test_cli_sample_emits_csv(capsys):

@@ -218,8 +218,9 @@ def test_entropy_budget_monotone_in_delta():
 
 def test_two_point_premises_are_the_certificate_fields(cert):
     P = builtin_model("canonical")
-    assert two_point_premises(P, cert.q, cert.beta, 0.05) == \
-        (cert.entropy, cert.entropy_budget, cert.separation)
+    assert two_point_premises(P, cert.q, 10 ** 4, cert.beta, 0.05) == \
+        (cert.entropy, cert.entropy_budget, cert.separation,
+         cert.entropy_ok, cert.separation_ok)
 
 
 def test_certificate_and_disjunction_share_the_entropy_budget(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson
-from threshlab.errors import DeltaOutOfRange, EpsTooLarge, NegativeDensity, SupportEscapes
+from threshlab.errors import EpsTooLarge, NegativeDensity, PremiseFails, SupportEscapes
 from threshlab.expr import CosSquaredProfile
 from threshlab.model import DensityPair, builtin_models
 from threshlab.perturbation import (
@@ -86,10 +86,12 @@ def test_plan_eps_scales_as_cube_root(models, bump):
 
 
 def test_plan_delta_out_of_range(models, bump):
-    with pytest.raises(DeltaOutOfRange):
-        make_plan(models["canonical"], bump, 0.2, 100)
-    with pytest.raises(DeltaOutOfRange):
-        make_plan(models["canonical"], bump, 1.0 / 11.0, 100)
+    for delta in (0.2, 1.0 / 11.0):
+        with pytest.raises(PremiseFails) as exc:
+            make_plan(models["canonical"], bump, delta, 100)
+        assert exc.value.which == "delta"
+        assert str(exc.value) == \
+            f"premise failed: delta (delta={delta} outside (0, 1/11))"
 
 
 def test_plan_eps_too_large_for_tiny_n(models, bump):
