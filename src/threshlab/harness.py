@@ -1,10 +1,11 @@
 """Monte Carlo experiment driver and report emission.
 
-Runs (estimator, n) sweeps with pre-assigned per-trial seeds, aggregates
-quantiles of the critically scaled error n^(1/3)|a_hat - a(P)| and the mean
-of n^(2/3) times the excess risk, and writes CSV / JSON / SVG reports.
-Every trial's value is independent of which process scores it, so the
-report is byte-identical for any worker count.
+Runs (estimator, n) sweeps, aggregates quantiles of the critically scaled
+error n^(1/3)|a_hat - a(P)| and the mean of n^(2/3) times the excess risk,
+and writes CSV / JSON / SVG reports.  Trial t at sample size n reads stream
+SeedPolicy(master_seed, n * 2^64 + t) for every estimator (stream_version
+3), whichever process scores it, so the report is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import sys
-import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,6 +56,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        for what, items in (("estimator", self.estimators), ("n", self.n_list)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"repeated {what} {max(items, key=items.count)}")
         SeedPolicy(self.master_seed)  # the range rule of every stream
         # estimator names must resolve now, not at trial time
         for name in self.estimators:
@@ -81,24 +84,16 @@ class RateReport:
     rows: tuple
 
 
-def _stream_master(master_seed: int, est_name: str, n: int) -> int:
-    """64-bit stream seed, a pure function of (master_seed, estimator, n)."""
-    est_id = zlib.crc32(est_name.encode())
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(est_id, n))
-    lo, hi = ss.generate_state(2)
-    return int(hi) << 32 | int(lo)
-
-
-def _trial_block(P, est_name, n, start, stop, stream_master):
-    """Score trials [start, stop) of one stream; returns the arrays
+def _trial_block(P, est_name, n, start, stop, master_seed):
+    """Score trials [start, stop) of one master seed; returns the arrays
     |a_hat - a(P)| and excess risk, one entry per trial."""
-    a_hats = estimate_trials(P, est_name, n, stream_master, range(start, stop))
+    a_hats = estimate_trials(P, est_name, n, master_seed, range(start, stop))
     return np.abs(a_hats - P.threshold), excess_risk(P, a_hats)
 
 
 def _score_share(P, pieces):
     """One share of a sweep: the (errors, excess) block of each piece
-    (est_name, n, start, stop, stream_master), in order."""
+    (est_name, n, start, stop, master_seed), in order."""
     return [_trial_block(P, *piece) for piece in pieces]
 
 
@@ -113,11 +108,12 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """
     P = resolve_model(cfg.model)
     P.marginal.envelope  # cached before a share pickles P
-    cells = [(est, n, _stream_master(cfg.master_seed, est, n))
-             for est in cfg.estimators for n in cfg.n_list]
+    cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     k = min(cfg.workers, cfg.trials)
-    shares = [[(est, n, cfg.trials * i // k, cfg.trials * (i + 1) // k, seed)
-               for est, n, seed in cells] for i in range(k)]
+    # trial t at size n is trial n * 2^64 + t of the master seed, for all estimators
+    shares = [[(est, n, (n << 64) + cfg.trials * i // k,
+                (n << 64) + cfg.trials * (i + 1) // k, cfg.master_seed)
+               for est, n in cells] for i in range(k)]
     if k <= 1:
         scored = [_score_share(P, share) for share in shares]
     else:
@@ -136,7 +132,7 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
                     .reshape(len(cells), cfg.trials) for j in (0, 1))
     return RateReport(rows=tuple(
         _aggregate(cfg, P.name, est, n, e, x)
-        for (est, n, _), e, x in zip(cells, errs, excess)))
+        for (est, n), e, x in zip(cells, errs, excess)))
 
 
 def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
@@ -302,16 +298,16 @@ _CONFIG_KEYS = {"seed": None, "trials": None, "model.family": None,
 
 def parse_config(path) -> dict:
     """Flat `key = value` text; '#' starts a comment; values stay strings.
-    A malformed line, a repeated or unknown key, or another family's raises."""
+    A valueless line, a repeated or unknown key, or another family's raises."""
     out = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ThreshlabError(f"malformed config line: {raw.rstrip()}")
             key, _, value = (part.strip() for part in line.partition("="))
+            if not value:  # no '=', or nothing after it
+                raise ThreshlabError(f"config line without a value: {raw.rstrip()}")
             if key in out:
                 raise ThreshlabError(f"repeated config key {key!r}")
             out[key] = value

@@ -7,14 +7,15 @@ probability f+ / f_sigma at X.  Each trial owns a private stream, a pure
 function of (master_seed, trial_index), so results are byte-identical
 regardless of worker schedule or of how trials are grouped into blocks.
 
-Stream layout (stream_version 2).  Trial t of master seed s, 0 <= s < 2^128,
+Stream layout (stream_version 3).  Trial t of master seed s, 0 <= s < 2^128,
 reads the doubles of numpy's PCG64 seeded with four 64-bit words: the first
 four that numpy's Philox, keyed by s, draws from counter t.  Philox is
 counter-based, so distinct trial indices give independent words, and each
 trial's PCG64 starts from its own random state on its own stream.  Each
 rejection round takes k abscissae, then k acceptance uniforms, with k sized
 from the acceptance rate 1/envelope; once n points are accepted, n label
-uniforms follow.
+uniforms follow.  `sample` reads trial 0, and a rate sweep reads trial t at
+sample size n as trial n * 2^64 + t (harness).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import DensityPair
 __all__ = ["SeedPolicy", "LabeledSample", "draw", "draw_block", "sub_blocks",
            "cdf_sigma"]
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 # A block of trials draws its first-round abscissae and acceptance uniforms
 # together, up to this many doubles: one trial at n = 10^4, 16 at n = 1000,
 # 63 at n = 250.  Three-trial blocks at n = 10^4 ran slower: the heap gave

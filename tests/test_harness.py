@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from threshlab import cli, harness
@@ -23,7 +24,10 @@ from threshlab.harness import (
     rate_sweep,
     rates_csv_lines,
 )
+from threshlab.estimators import erm_threshold, resolve_estimator, two_step
 from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
+from threshlab.risk import excess_risk
+from threshlab.sampling import SeedPolicy, draw
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,6 +167,46 @@ def test_pool_forks_its_workers_on_linux(recording_pool):
     assert context.get_start_method() == "fork"
 
 
+def _oracle_stats(P, est, n, trials, seed):
+    """A rate row's (q50, q90, q95, mean_excess_scaled) rebuilt trial by
+    trial: trial t reads draw(P, n, SeedPolicy(seed, n * 2^64 + t)) and is
+    scored by the one-row estimator."""
+    L = resolve_estimator(est)[1]
+    a_hats = []
+    for t in range(trials):
+        sample = draw(P, n, SeedPolicy(seed, (n << 64) + t))
+        a_hats.append(erm_threshold(sample).a_hat if L is None
+                      else two_step(sample, L))
+    errs = np.abs(np.array(a_hats) - P.threshold) * n ** (1.0 / 3.0)
+    excess = np.array([excess_risk(P, a) for a in a_hats]) * n ** (2.0 / 3.0)
+    return (*np.quantile(errs, [0.5, 0.9, 0.95], method="linear"),
+            np.mean(excess))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_rate_rows_read_counter_n_2_64_plus_t_for_every_estimator(workers):
+    seed, trials = 20260823, 9
+    cfg = ExperimentConfig(
+        model="tilted", estimators=("erm", "twostep:L=4", "twostep:L=4.0"),
+        n_list=(64, 250), trials=trials, master_seed=seed, workers=workers)
+    P = builtin_model("tilted")
+    stats = {(r.estimator, r.n): (r.q50, r.q90, r.q95, r.mean_excess_scaled)
+             for r in rate_sweep(cfg).rows}
+    for (est, n), row in stats.items():
+        assert row == _oracle_stats(P, est, n, trials, seed)
+    # two spellings of one estimator read the same samples
+    for n in (64, 250):
+        assert stats["twostep:L=4", n] == stats["twostep:L=4.0", n]
+
+
+def test_rates_csv_matches_golden_bytes(tmp_path, capsys):
+    assert cli.main(["--seed", "7", "--trials", "20", "--out", str(tmp_path),
+                     "rates", "--model", "canonical", "--estimators",
+                     "erm,twostep:L=4", "--n-list", "64,256"]) == 0
+    assert (tmp_path / "rates.csv").read_bytes() == \
+        (DATA / "rates_canonical_seed7.csv").read_bytes()
+
+
 def test_sweep_repeatable_in_process():
     a = rate_sweep(small_config())
     b = rate_sweep(small_config())
@@ -213,7 +257,7 @@ def test_json_payload_schema(tmp_path):
     emit_outputs(report, tmp_path)
     payload = json.loads((tmp_path / "rates.json").read_text())
     assert payload["schema_version"] == 2
-    assert payload["stream_version"] == 2
+    assert payload["stream_version"] == 3
     assert len(payload["rows"]) == len(report.rows)
     first = payload["rows"][0]
     assert set(first) == set(RATES_HEADER.split(","))
@@ -267,6 +311,12 @@ def test_parse_config_comments_and_whitespace(tmp_path):
                  "model.base needs model.family = perturbed", id="base-no-family"),
     pytest.param("seed = 3\nseed = 9\n", "repeated config key 'seed'",
                  id="repeated-key"),
+    pytest.param("model.family = tilted\nmodel.name =\n",
+                 "config line without a value: model.name =", id="empty-value"),
+    pytest.param("model.name = solo\n", "config is missing model.family",
+                 id="name-no-family"),
+    pytest.param("model.family = perturbed\nmodel.eps = 0\n",
+                 "eps must be positive", id="eps-zero"),
 ])
 def test_cli_rejects_bad_config(text, word, tmp_path, capsys):
     path = tmp_path / "exp.cfg"
@@ -477,24 +527,31 @@ def test_cli_config_seed_and_trials_reach_disjunction(tmp_path, capsys):
     ["--trials", "0", "disjunction"],
     ["sample", "--n", "-1"],
     ["--config", "no-such-file.cfg", "validate"],
+    ["rates", "--estimators", "erm,erm", "--n-list", "8"],
+    ["rates", "--estimators", "erm", "--n-list", "8,8"],
+    ["certificate", "--n-list", "0"],
 ])
 def test_cli_user_input_errors_exit_2(argv, tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path)] + argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", [
     "twostepfoo", "twostep:L=nan", "twostep:L=inf", "twostep:L=-1",
+    "twostep:L=abc",
 ])
 def test_cli_rejects_malformed_estimator_before_any_work(name, tmp_path,
                                                          capsys):
     assert cli.main(["--out", str(tmp_path), "rates", "--workers", "2",
                      "--estimators", f"erm,{name}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 

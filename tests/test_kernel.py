@@ -557,7 +557,8 @@ def draw_digest(P, n, master_seed, trials):
 
 
 # sha256 of the x then y bytes of draw_block(Q, 10^4, seeds (s, 0) and (s, 1))
-# for the certified Q at delta = 0.05, on stream_version 2
+# for the certified Q at delta = 0.05, on stream_version 2 and 3 (3 changed
+# only which trials a rate sweep reads)
 GOLDEN_Q = {
     ("canonical", 0): "232cc2280b20c2eb41e1730276311079dade87d0f3a7c329e0457feab1a8af99",
     ("canonical", 7): "3d6028a4ccad81f3efc86fded3f29075edeceb62ce1b89e0ce52f15a7ecc744d",
