@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ThreshlabError
-from .estimators import estimate_trials, resolve_estimator
+from .estimators import estimate_all, resolve_estimator
 from .model import DensityPair, resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk
@@ -84,36 +84,38 @@ class RateReport:
     rows: tuple
 
 
-def _trial_block(P, est_name, n, start, stop, master_seed):
-    """Score trials [start, stop) of one master seed; returns the arrays
-    |a_hat - a(P)| and excess risk, one entry per trial."""
-    a_hats = estimate_trials(P, est_name, n, master_seed, range(start, stop))
-    return np.abs(a_hats - P.threshold), excess_risk(P, a_hats)
+def _trial_block(P, estimators, n, start, stop, master_seed):
+    """Score trials [start, stop) of one master seed at size n, each block
+    drawn once for every estimator; returns one pair of arrays
+    (|a_hat - a(P)|, excess risk) per estimator, one entry per trial."""
+    a_hats = estimate_all(P, estimators, n, master_seed, range(start, stop))
+    return list(zip(np.abs(a_hats - P.threshold), excess_risk(P, a_hats)))
 
 
 def _score_share(P, pieces):
-    """One share of a sweep: the (errors, excess) block of each piece
-    (est_name, n, start, stop, master_seed), in order."""
+    """One share of a sweep: the _trial_block result of each piece
+    (estimators, n, start, stop, master_seed), in order."""
     return [_trial_block(P, *piece) for piece in pieces]
 
 
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """One RateRow per (estimator, n); deterministic given master_seed.
 
-    Each cell's trials are cut into k = min(workers, trials) consecutive
-    shares.  This process scores share 0 of every cell while a pool of
+    Each n's trials are cut into k = min(workers, trials) consecutive
+    shares, and a share's trials are drawn once and scored by every
+    estimator.  This process scores share 0 of every n while a pool of
     k - 1 processes, started and reaped inside the call, scores the others,
-    one share a process; the blocks are put back in (cell, trial) order, so
-    the rows do not depend on the worker count.
+    one share a process; the blocks are put back in (estimator, n, trial)
+    order, so the rows do not depend on the worker count.
     """
     P = resolve_model(cfg.model)
     P.marginal.envelope  # cached before a share pickles P
     cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     k = min(cfg.workers, cfg.trials)
     # trial t at size n is trial n * 2^64 + t of the master seed, for all estimators
-    shares = [[(est, n, (n << 64) + cfg.trials * i // k,
+    shares = [[(cfg.estimators, n, (n << 64) + cfg.trials * i // k,
                 (n << 64) + cfg.trials * (i + 1) // k, cfg.master_seed)
-               for est, n in cells] for i in range(k)]
+               for n in cfg.n_list] for i in range(k)]
     if k <= 1:
         scored = [_score_share(P, share) for share in shares]
     else:
@@ -125,9 +127,11 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
                         for share in shares[1:]]
             scored = [_score_share(P, shares[0]),
                       *(child.result() for child in children)]
-    # a block is the pair (errors, excess risks); a cell's blocks, one a
-    # share, hold its cfg.trials trials in order
-    blocks = [block for cell in zip(*scored) for block in cell]
+    # scored[i][j][e] is the pair (errors, excess risks) of share i, the
+    # j-th n and the e-th estimator; a cell's blocks, one a share, hold its
+    # cfg.trials trials in order
+    blocks = [share[j][e] for e in range(len(cfg.estimators))
+              for j in range(len(cfg.n_list)) for share in scored]
     errs, excess = (np.concatenate([np.empty(0), *(b[j] for b in blocks)])
                     .reshape(len(cells), cfg.trials) for j in (0, 1))
     return RateReport(rows=tuple(

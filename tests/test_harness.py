@@ -150,12 +150,15 @@ def test_pool_starts_at_most_one_process_per_job(trials, started,
 
 def test_pooled_jobs_ship_the_pair_with_its_envelope(recording_pool):
     report = rate_sweep(small_config(workers=3))
-    # one message a child, carrying the pair and the pieces of every cell
+    # one message a child, carrying the pair and one piece per n, each
+    # piece scored by every estimator
     assert len(recording_pool.shipped) == 2
     for message in recording_pool.shipped:
         _, (pair, pieces) = pickle.loads(message)
         assert "envelope" in vars(pair)
-        assert len(pieces) == 4  # 2 estimators x 2 n
+        assert len(pieces) == 2  # 2 n
+        assert [piece[:2] for piece in pieces] == \
+            [(("erm", "twostep:L=2.0"), n) for n in (64, 256)]
     assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
 
 

@@ -257,17 +257,21 @@ def test_low_acceptance_pair_forces_refill_rounds():
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("estimator", list(REFERENCE))
 def test_trial_block_equals_per_trial_reference(name, n, estimator):
+    # every estimator scores one draw; the named one leads, so each
+    # estimator is checked in each position of the tuple
+    order = list(REFERENCE)
+    k = order.index(estimator)
+    names = tuple(order[k:] + order[:k])
     P = MODELS[name]
     start, stop, master = 5, 5 + 12, 987654321
-    errs, excess = harness._trial_block(P, estimator, n, start, stop, master)
-    want_errs, want_excess = [], []
-    for t in range(start, stop):
-        x, y, _ = reference_draw(P, n, SeedPolicy(master, t))
-        a_hat = float(REFERENCE[estimator](x, y))
-        want_errs.append(abs(a_hat - P.threshold))
-        want_excess.append(excess_risk(P, a_hat))
-    assert bits(errs) == bits(want_errs)
-    assert bits(excess) == bits(want_excess)
+    pairs = harness._trial_block(P, names, n, start, stop, master)
+    assert len(pairs) == len(names)
+    samples = [reference_draw(P, n, SeedPolicy(master, t))[:2]
+               for t in range(start, stop)]
+    for est, (errs, excess) in zip(names, pairs):
+        a_hats = [float(REFERENCE[est](x, y)) for x, y in samples]
+        assert bits(errs) == bits([abs(a - P.threshold) for a in a_hats])
+        assert bits(excess) == bits([excess_risk(P, a) for a in a_hats])
 
 
 def test_erm_block_equals_reference_with_ties():
@@ -399,6 +403,49 @@ def test_sub_blocks_respect_the_uniform_cap(monkeypatch):
         assert k == 1 or first_round * k <= _MAX_BLOCK_UNIFORMS
     assert sub_blocks([], 10, 1.01) == []
     assert sub_blocks(list(range(5)), 0, 1.01) == [list(range(5))]
+
+
+MIXED = ("erm", "twostep:L=4", "clock", "twostep")
+
+
+def test_rate_sweep_draws_each_block_once(monkeypatch):
+    blocks = []
+
+    def recording_draw_block(P, n, master_seed, trials):
+        blocks.append((n, list(trials)))
+        return draw_block(P, n, master_seed, trials)
+
+    monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
+
+    def sweep(names):
+        blocks.clear()
+        harness.rate_sweep(harness.ExperimentConfig(
+            model="canonical", estimators=names, n_list=(250, 1000),
+            trials=25, master_seed=3))
+        return list(blocks)
+
+    calls = sweep(MIXED)
+    assert [(n, len(trials)) for n, trials in calls] == \
+        [(250, 25), (1000, 16), (1000, 9)]
+    for n in (250, 1000):
+        assert [t for m, trials in calls if m == n for t in trials] == \
+            [(n << 64) + t for t in range(25)]
+    assert sweep(("erm",)) == calls
+    assert sweep(("clock",)) == []
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_estimate_all_rows_equal_estimate_trials(name):
+    # at n = 1000 these 25 trials are drawn in blocks of 16 and 9
+    P = MODELS[name]
+    trials = [5, 0, 17, 3, 40, 41, 2, 99, 7, 8, 60, 1, 11, 12, 13, 30,
+              31, 4, 50, 6, 9, 70, 21, 22, 23]
+    got = estimators.estimate_all(P, MIXED, 1000, 2024, trials)
+    assert got.shape == (len(MIXED), len(trials))
+    for row, est in zip(got, MIXED):
+        assert bits(row) == bits(estimate_trials(P, est, 1000, 2024, trials))
+    assert estimators.estimate_all(P, MIXED, 1000, 2024, []).shape == \
+        (len(MIXED), 0)
 
 
 # --- support-aware Sum against full evaluation ----------------------------------
