@@ -25,6 +25,7 @@ __all__ = [
     "two_step_block",
     "clock_estimator",
     "resolve_estimator",
+    "estimator_key",
     "estimate_all",
     "estimate_trials",
 ]
@@ -233,6 +234,14 @@ def resolve_estimator(name: str):
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"estimator {name!r}: L must be a finite number > 0")
     return (lambda x, y: two_step_block(x, y, L)), L
+
+
+def estimator_key(name: str):
+    """The estimator a name runs, as (kind, L run with): "twostep",
+    "twostep:L=1" and "twostep:L=1.0" all give ("twostep", 1.0), "erm"
+    gives ("erm", None).  Raises ValueError as resolve_estimator does."""
+    L = resolve_estimator(name)[1]
+    return name.partition(":")[0], 1.0 if name == "twostep" else L
 
 
 def estimate_all(P: DensityPair, estimators, n: int, master_seed: int,

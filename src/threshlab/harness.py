@@ -10,17 +10,18 @@ worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ThreshlabError
-from .estimators import estimate_all, resolve_estimator
+from .estimators import estimate_all, estimator_key, resolve_estimator
 from .model import DensityPair, resolve_model
 from .perturbation import build_certificate, default_bump
 from .risk import excess_risk
@@ -60,9 +61,14 @@ class ExperimentConfig:
             if len(set(items)) < len(items):
                 raise ValueError(f"repeated {what} {max(items, key=items.count)}")
         SeedPolicy(self.master_seed)  # the range rule of every stream
-        # estimator names must resolve now, not at trial time
+        # estimator names must resolve now, not at trial time, and no two
+        # may run one estimator (twostep is twostep:L=1)
+        first = {}
         for name in self.estimators:
-            resolve_estimator(name)
+            other = first.setdefault(estimator_key(name), name)
+            if other != name:
+                raise ValueError(f"estimators {other} and {name} run one "
+                                 "estimator; list it once")
 
 
 @dataclass(frozen=True)
@@ -98,18 +104,82 @@ def _score_share(P, pieces):
     return [_trial_block(P, *piece) for piece in pieces]
 
 
+def _run_child(P, share, write_fd, read_fds):
+    """A forked child's whole life: score its share, pickle (True, result)
+    or (False, exception) into write_fd, and _exit without returning into
+    the caller's stack or flushing stdio buffers it shares with the parent."""
+    code = 1
+    try:
+        for fd in read_fds:  # its own read end, and any earlier sibling's
+            os.close(fd)
+        try:
+            message = (True, _score_share(P, share))
+        except BaseException as exc:  # the parent raises it
+            message = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_shares(P, shares):
+    """_score_share of each share: one forked child per share after the
+    first, each returning its result through one pipe, while this process
+    scores shares[0].  Every child is reaped before this returns or raises;
+    a child's exception is raised here, and if this process's own share
+    raises, the children are killed."""
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # say, no process ids left
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_child(P, share, write_fd,
+                           [read_fd, *(pipe.fileno() for _, pipe in children)])
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        scored = [_score_share(P, shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:  # to EOF before waitpid: a result can outgrow the pipe
+                message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                raise ThreshlabError(f"a rate_sweep worker exited with status "
+                                     f"{status} before returning its share")
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise value
+            scored.append(value)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return scored
+
+
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """One RateRow per (estimator, n); deterministic given master_seed.
 
     Each n's trials are cut into k = min(workers, trials) consecutive
     shares, and a share's trials are drawn once and scored by every
-    estimator.  This process scores share 0 of every n while a pool of
-    k - 1 processes, started and reaped inside the call, scores the others,
-    one share a process; the blocks are put back in (estimator, n, trial)
-    order, so the rows do not depend on the worker count.
+    estimator.  This process scores share 0 of every n while k - 1 other
+    processes, started and reaped inside the call, score the others, one
+    share a process: on Linux each is forked and returns its share through
+    a pipe, elsewhere they are a ProcessPoolExecutor's.  The blocks are put
+    back in (estimator, n, trial) order, so the rows do not depend on the
+    worker count.
     """
     P = resolve_model(cfg.model)
-    P.marginal.envelope  # cached before a share pickles P
+    P.marginal.envelope  # computed once here, not again in each share
     cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
     k = min(cfg.workers, cfg.trials)
     # trial t at size n is trial n * 2^64 + t of the master seed, for all estimators
@@ -118,11 +188,11 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
                for n in cfg.n_list] for i in range(k)]
     if k <= 1:
         scored = [_score_share(P, share) for share in shares]
-    else:
-        import multiprocessing  # only a pooled sweep pays for this import
-        # fork on Linux (forkserver is its default from Python 3.14), else the default
-        fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with concurrent.futures.ProcessPoolExecutor(k - 1, mp_context=fork) as pool:
+    elif sys.platform == "linux":
+        scored = _forked_shares(P, shares)
+    else:  # no os.fork on Windows, and fork is unsafe on macOS
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(k - 1) as pool:
             children = [pool.submit(_score_share, P, share)
                         for share in shares[1:]]
             scored = [_score_share(P, shares[0]),

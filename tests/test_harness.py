@@ -1,12 +1,18 @@
 """Experiment driver: determinism, report formats, and the CLI."""
 
+import ast
 import concurrent.futures
+import errno
 import json
-import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +30,9 @@ from threshlab.harness import (
     rate_sweep,
     rates_csv_lines,
 )
-from threshlab.estimators import erm_threshold, resolve_estimator, two_step
+from threshlab.errors import InvalidModel, QuadratureNotConverged, ThreshlabError
+from threshlab.estimators import (erm_threshold, estimate_all,
+                                  resolve_estimator, two_step)
 from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
 from threshlab.risk import excess_risk
 from threshlab.sampling import SeedPolicy, draw
@@ -92,22 +100,46 @@ def test_reports_are_byte_identical_when_shares_are_uneven(workers, tmp_path):
         assert open(serial, "rb").read() == open(pooled, "rb").read()
 
 
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fails a test here that runs over a minute, such as a sweep waiting on
+    a forked child that never ends its pipe, instead of hanging the suite."""
+    if sys.platform != "linux":  # the executor path forks nothing
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep waited over 60 s for its children")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    # a bare fork is no multiprocessing child, so ask the kernel
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pooled_sweep_reaps_its_processes():
     rate_sweep(small_config(workers=2, trials=4))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, mp_context and
-    each submission's pickled bytes, and runs the submissions serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    submission's pickled bytes, and runs the submissions serially."""
 
     started = []
-    contexts = []
     shipped = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers):
         RecordingPool.started.append(max_workers)
-        RecordingPool.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -127,33 +159,65 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(RecordingPool, "contexts", [])
     monkeypatch.setattr(RecordingPool, "shipped", [])
-    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     return RecordingPool
 
 
+@pytest.fixture
+def executor_platform(monkeypatch, recording_pool):
+    """rate_sweep as it runs where there is no os.fork: on the executor."""
+    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="win32"))
+    return recording_pool
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child that rate_sweep forks, through the real os.fork."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    pids = []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    real_fork = os.fork
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    return pids
+
+
 @pytest.mark.parametrize("trials, started", [(40, [7]), (3, [2]), (1, []),
                                              (0, [])])
-def test_pool_starts_at_most_one_process_per_job(trials, started,
-                                                 recording_pool):
+def test_pool_starts_at_most_one_process_per_job(trials, started, forks,
+                                                 executor_platform,
+                                                 monkeypatch):
     cfg = ExperimentConfig(model="canonical", estimators=("erm",),
                            n_list=(64,), trials=trials, master_seed=1,
                            workers=8)
+    # this process scores one share, so k - 1 more processes for k shares:
+    # a pool of k - 1 on the executor, and k - 1 forks on Linux
     report = rate_sweep(cfg)
-    # this process scores one share, so a pool of k - 1 for k shares
-    assert recording_pool.started == started
-    assert len(recording_pool.shipped) == sum(started)
+    assert executor_platform.started == started
+    assert len(executor_platform.shipped) == sum(started)
     assert [r.trials for r in report.rows] == [trials]
+    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="linux"))
+    forked = rate_sweep(cfg)
+    assert list(rates_csv_lines(forked)) == list(rates_csv_lines(report))
+    assert len(forks) == sum(started)
+    assert executor_platform.started == started
+    assert_no_child_left()
 
 
-def test_pooled_jobs_ship_the_pair_with_its_envelope(recording_pool):
+def test_pooled_jobs_ship_the_pair_with_its_envelope(executor_platform):
     report = rate_sweep(small_config(workers=3))
     # one message a child, carrying the pair and one piece per n, each
     # piece scored by every estimator
-    assert len(recording_pool.shipped) == 2
-    for message in recording_pool.shipped:
+    assert len(executor_platform.shipped) == 2
+    for message in executor_platform.shipped:
         _, (pair, pieces) = pickle.loads(message)
         assert "envelope" in vars(pair)
         assert len(pieces) == 2  # 2 n
@@ -162,12 +226,152 @@ def test_pooled_jobs_ship_the_pair_with_its_envelope(recording_pool):
     assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="fork is named on Linux only")
-def test_pool_forks_its_workers_on_linux(recording_pool):
-    # named, not left to the default, which Python 3.14 makes forkserver
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_pool_forks_its_workers_on_linux(recording_pool, forks):
+    # forked with os.fork, not left to an executor, whose default start
+    # method Python 3.14 makes forkserver
     rate_sweep(small_config(workers=2))
-    [context] = recording_pool.contexts
-    assert context.get_start_method() == "fork"
+    assert len(forks) == 1
+    assert recording_pool.started == []
+    assert_no_child_left()
+
+
+@pytest.fixture
+def share_hook(monkeypatch):
+    """share_hook(hook) makes each _score_share call run hook(pieces) first,
+    in whichever process scores that share."""
+    def install(hook):
+        def hooked(P, pieces):
+            hook(pieces)
+            return score(P, pieces)
+
+        score = harness._score_share
+        monkeypatch.setattr(harness, "_score_share", hooked)
+
+    return install
+
+
+def in_children(action):
+    """A share hook that runs action() in forked children only."""
+    parent = os.getpid()
+
+    def hook(pieces):
+        if os.getpid() != parent:
+            action()
+
+    return hook
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_each_forked_child_scores_one_piece_per_n(share_hook, forks,
+                                                  tmp_path):
+    log = tmp_path / "shares.log"
+
+    def record(pieces):
+        with open(log, "a") as fh:
+            fh.write(repr((os.getpid(), pieces)) + "\n")
+
+    share_hook(record)
+    rate_sweep(small_config(workers=3))
+    lines = log.read_text().splitlines()
+    scored = dict(ast.literal_eval(line) for line in lines)
+    assert len(lines) == 3 and sorted(scored) == sorted([os.getpid(), *forks])
+    for pid in forks:
+        assert [piece[:2] for piece in scored[pid]] == \
+            [(("erm", "twostep:L=2.0"), n) for n in (64, 256)]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_a_childs_error_reaches_the_caller_with_its_type(share_hook):
+    def fail():
+        raise QuadratureNotConverged("child says no")
+
+    share_hook(in_children(fail))
+    with pytest.raises(QuadratureNotConverged, match="^child says no$"):
+        rate_sweep(small_config(workers=3))
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_a_child_that_dies_without_a_result_is_an_error(share_hook):
+    share_hook(in_children(lambda: os._exit(3)))
+    with pytest.raises(ThreshlabError, match="status 3"):
+        rate_sweep(small_config(workers=2))
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_an_error_in_the_callers_share_kills_the_children(share_hook):
+    parent = os.getpid()
+
+    def hook(pieces):
+        if os.getpid() == parent:
+            raise InvalidModel("caller says no")
+        time.sleep(60)  # unless killed
+
+    share_hook(hook)
+    start = time.monotonic()
+    with pytest.raises(InvalidModel, match="^caller says no$"):
+        rate_sweep(small_config(workers=3))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_a_failed_fork_leaves_no_child_and_no_pipe(monkeypatch):
+    # the second of two forks fails, as it would with no process ids left
+    calls = []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(harness.os, "fork", fork_once)
+    open_fds = os.listdir("/proc/self/fd")
+    with pytest.raises(BlockingIOError):
+        rate_sweep(small_config(workers=3))
+    assert len(calls) == 2
+    assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(open_fds)
+
+
+def test_a_share_larger_than_the_pipe_buffer_arrives_whole(tmp_path):
+    # a child's result: 2 estimators x 2 n x 2 arrays x 1500 trials x 8
+    # bytes, about 96 KB, against a 64 KiB pipe buffer
+    cfg = {"model": "canonical", "estimators": ("erm", "twostep"),
+           "n_list": (8, 16), "trials": 3000, "master_seed": 5}
+    paths = [emit_outputs(rate_sweep(ExperimentConfig(**cfg, workers=w)),
+                          tmp_path / f"w{w}", svg=True) for w in (1, 2)]
+    for serial, pooled in zip(*paths):
+        assert open(serial, "rb").read() == open(pooled, "rb").read()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
+def test_a_pooled_sweep_imports_no_executor_and_starts_no_thread():
+    # a fresh interpreter, since this one may have imported both already
+    code = """if True:
+        import sys, threading
+        started = []
+        start = threading.Thread.start
+        threading.Thread.start = lambda self: (started.append(self), start(self))
+        from threshlab.harness import ExperimentConfig, rate_sweep
+        rate_sweep(ExperimentConfig(model="canonical", estimators=("erm",),
+                                    n_list=(64,), trials=4, master_seed=1,
+                                    workers=2))
+        print(sorted(m for m in ("multiprocessing", "concurrent.futures")
+                     if m in sys.modules), len(started))
+    """
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]", "0"]
 
 
 def _oracle_stats(P, est, n, trials, seed):
@@ -190,16 +394,22 @@ def _oracle_stats(P, est, n, trials, seed):
 def test_rate_rows_read_counter_n_2_64_plus_t_for_every_estimator(workers):
     seed, trials = 20260823, 9
     cfg = ExperimentConfig(
-        model="tilted", estimators=("erm", "twostep:L=4", "twostep:L=4.0"),
+        model="tilted", estimators=("erm", "twostep:L=4", "twostep:L=0.5"),
         n_list=(64, 250), trials=trials, master_seed=seed, workers=workers)
     P = builtin_model("tilted")
     stats = {(r.estimator, r.n): (r.q50, r.q90, r.q95, r.mean_excess_scaled)
              for r in rate_sweep(cfg).rows}
+    assert len(stats) == 6
     for (est, n), row in stats.items():
         assert row == _oracle_stats(P, est, n, trials, seed)
-    # two spellings of one estimator read the same samples
+
+
+def test_two_spellings_of_one_estimator_read_the_same_samples():
+    P = builtin_model("tilted")
     for n in (64, 250):
-        assert stats["twostep:L=4", n] == stats["twostep:L=4.0", n]
+        spelled = estimate_all(P, ("twostep:L=4", "twostep:L=4.0"), n,
+                               20260823, range((n << 64), (n << 64) + 9))
+        assert spelled[0].tolist() == spelled[1].tolist()
 
 
 def test_rates_csv_matches_golden_bytes(tmp_path, capsys):
@@ -539,6 +749,22 @@ def test_cli_user_input_errors_exit_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("first, second", [
+    ("twostep", "twostep:L=1"), ("twostep:L=4", "twostep:L=4.0"),
+    ("twostep:L=1.0", "twostep"), ("twostep:L=0.5", "twostep:L=5e-1"),
+])
+def test_cli_rejects_two_names_of_one_estimator(first, second, tmp_path,
+                                                capsys):
+    assert cli.main(["--out", str(tmp_path), "rates", "--n-list", "8",
+                     "--estimators", f"erm,{first},clock,{second}"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f" {first} " in lines[0] and f" {second} " in lines[0]
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
