@@ -74,8 +74,12 @@ class PremiseFails(ThreshlabError):
     """An inequality's premise does not hold; carries which half failed."""
 
     def __init__(self, which: str, detail: str = ""):
+        super().__init__(which, detail)  # the args that pickling passes back
         self.which = which
-        super().__init__(f"premise failed: {which}" + (f" ({detail})" if detail else ""))
+
+    def __str__(self):
+        which, detail = self.args
+        return f"premise failed: {which}" + (f" ({detail})" if detail else "")
 
 
 class TooLarge(ThreshlabError):

@@ -55,25 +55,23 @@ class DensityPair:
 
     Immutable after construction; the threshold is solved once in
     __post_init__.  `sup_density()` and the sampling `envelope` are cached
-    per pair on first use and pickled with it (`harness.rate_sweep` computes
-    the envelope before it ships the pair to its workers), as is each Field
-    node's `support`.  `perturbation.estimate_c1` is cached on the value
-    of (pair, bump), so equal pairs share one c1.
+    per pair on first use, as is each Field node's `support`, and a pickled
+    pair carries them.  `harness.rate_sweep` computes the envelope before it
+    starts any share: a forked share inherits it, and the executor branch
+    pickles it with the pair.  `perturbation.estimate_c1` is cached on the
+    value of (pair, bump), so equal pairs share one c1.
 
     `name` has no comma, double quote or line break (CSV cells are unquoted).
-    `breakpoints` lists interior x where some derivative of the densities
-    jumps (bump support edges); quadrature makes them panel boundaries.
-    `base` is set by `perturb` alone, to the unperturbed pair whose f_sigma
-    the perturbed pair equals in exact arithmetic; sampling draws X from it
-    (`marginal`).
+    `breakpoints`, the interior x where a derivative of the densities jumps,
+    is empty: only a perturbed pair (`perturbation.perturb`) has any.
     """
 
     fplus: Field
     fminus: Field
     name: str = "unnamed"
-    breakpoints: tuple = ()
-    base: DensityPair | None = field(init=False, default=None, repr=False)
     threshold: float = field(init=False, default=0.0)
+
+    breakpoints = ()
 
     def __post_init__(self):
         if any(c in self.name for c in ',"\r\n'):
@@ -83,9 +81,8 @@ class DensityPair:
 
     @property
     def marginal(self) -> DensityPair:
-        """The pair whose f_sigma and envelope the sampler draws X from: the
-        base of a perturbed pair, else the pair itself."""
-        return self if self.base is None else self.base
+        """The pair whose f_sigma and envelope the sampler draws X from."""
+        return self
 
     # convenience evaluators ------------------------------------------------
 
@@ -298,10 +295,7 @@ def model_from_config(cfg: dict) -> DensityPair:
     else:
         pair = builtin_model(family)
     if cfg.get("model.name"):
-        renamed = replace(pair, name=cfg["model.name"])
-        # replace leaves the init=False base unset; the new name keeps it
-        object.__setattr__(renamed, "base", pair.base)
-        pair = renamed
+        pair = replace(pair, name=cfg["model.name"])
     return pair
 
 

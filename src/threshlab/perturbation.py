@@ -14,7 +14,7 @@ certificate assembled here witnesses both facts quantitatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -94,6 +94,24 @@ def make_plan(P: DensityPair, phi: CosSquaredProfile, delta: float,
     return PerturbationPlan(n=n, eps=eps, c4=c4)
 
 
+@dataclass(frozen=True, kw_only=True)
+class _PerturbedPair(DensityPair):
+    """A pair built by `perturb`, which alone constructs it.
+
+    `base` is the unperturbed pair whose f_sigma this pair equals in exact
+    arithmetic; sampling draws X from it (`marginal`).  `breakpoints` lists
+    interior x where some derivative of the densities jumps (bump support
+    edges); quadrature makes them panel boundaries.
+    """
+
+    base: DensityPair = field(repr=False)
+    breakpoints: tuple = field()  # required, not the inherited ()
+
+    @property
+    def marginal(self) -> DensityPair:
+        return self.base
+
+
 def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
     """The perturbed pair Q with f_Q^+- = (1 +- Xi rho^-+) f^+-."""
     if eps <= 0:
@@ -111,14 +129,13 @@ def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
     fqm = P.fminus - g
     if not (nonneg_on_grid(fqp)[0] and nonneg_on_grid(fqm)[0]):
         raise NegativeDensity(f"eps={eps} drives a sub-density negative")
-    Q = DensityPair(
+    return _PerturbedPair(
         fplus=fqp,
         fminus=fqm,
         name=f"{P.name}+bump(eps={eps:.6g})",
+        base=P.marginal,
         breakpoints=(*P.breakpoints, a - r, a + r),
     )
-    object.__setattr__(Q, "base", P.marginal)
-    return Q
 
 
 def _c4(P: DensityPair, phi: CosSquaredProfile) -> float:

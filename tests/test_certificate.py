@@ -302,6 +302,8 @@ def test_pair_with_cached_sup_pickles():
         sup = pair.sup_density()
         clone = pickle.loads(pickle.dumps(pair))
         assert clone == pair and hash(clone) == hash(pair)
+        assert clone.marginal == pair.marginal
+        assert clone.breakpoints == pair.breakpoints
         assert bits(clone.sup_density()) == bits(sup)
         assert bits(clone.threshold) == bits(pair.threshold)
         assert clone.fsum(x).tobytes() == pair.fsum(x).tobytes()

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from threshlab import cli, harness
+from threshlab import cli, errors, harness
 from threshlab.harness import (
     CERT_HEADER,
     RATES_HEADER,
@@ -30,19 +30,21 @@ from threshlab.harness import (
     rate_sweep,
     rates_csv_lines,
 )
-from threshlab.errors import InvalidModel, QuadratureNotConverged, ThreshlabError
+from threshlab.errors import (InvalidModel, PremiseFails, QuadratureNotConverged,
+                              ThreshlabError)
 from threshlab.estimators import (erm_threshold, estimate_all,
                                   resolve_estimator, two_step)
-from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
+from threshlab.model import (DensityPair, builtin_model, model_from_config,
+                             nonneg_on_grid)
 from threshlab.risk import excess_risk
 from threshlab.sampling import SeedPolicy, draw
 
 DATA = Path(__file__).parent / "data"
 
 
-def small_config(workers=1, trials=40):
+def small_config(workers=1, trials=40, model="canonical"):
     return ExperimentConfig(
-        model="canonical",
+        model=model,
         estimators=("erm", "twostep:L=2.0"),
         n_list=(64, 256),
         trials=trials,
@@ -213,17 +215,26 @@ def test_pool_starts_at_most_one_process_per_job(trials, started, forks,
 
 
 def test_pooled_jobs_ship_the_pair_with_its_envelope(executor_platform):
-    report = rate_sweep(small_config(workers=3))
-    # one message a child, carrying the pair and one piece per n, each
-    # piece scored by every estimator
-    assert len(executor_platform.shipped) == 2
-    for message in executor_platform.shipped:
-        _, (pair, pieces) = pickle.loads(message)
-        assert "envelope" in vars(pair)
-        assert len(pieces) == 2  # 2 n
-        assert [piece[:2] for piece in pieces] == \
-            [(("erm", "twostep:L=2.0"), n) for n in (64, 256)]
-    assert list(rates_csv_lines(report)) == list(rates_csv_lines(rate_sweep(small_config())))
+    # a renamed perturbed pair ships as its own type, with the envelope on
+    # the base that its X is drawn from
+    bump = model_from_config({"model.family": "perturbed", "model.base": "curved",
+                              "model.eps": "0.08", "model.name": "my-bump"})
+    assert bump.marginal is not bump
+    for model, kind in (("canonical", DensityPair), (bump, type(bump))):
+        executor_platform.shipped.clear()
+        report = rate_sweep(small_config(workers=3, model=model))
+        # one message a child, carrying the pair and one piece per n, each
+        # piece scored by every estimator
+        assert len(executor_platform.shipped) == 2
+        for message in executor_platform.shipped:
+            _, (pair, pieces) = pickle.loads(message)
+            assert type(pair) is kind
+            assert "envelope" in vars(pair.marginal)
+            assert len(pieces) == 2  # 2 n
+            assert [piece[:2] for piece in pieces] == \
+                [(("erm", "twostep:L=2.0"), n) for n in (64, 256)]
+        assert list(rates_csv_lines(report)) == \
+            list(rates_csv_lines(rate_sweep(small_config(model=model))))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
@@ -291,6 +302,18 @@ def test_a_childs_error_reaches_the_caller_with_its_type(share_hook):
     with pytest.raises(QuadratureNotConverged, match="^child says no$"):
         rate_sweep(small_config(workers=3))
     assert_no_child_left()
+
+
+def test_every_threshlab_error_survives_pickling():
+    # a share's error crosses to the caller pickled, forked or on the executor
+    for cls in vars(errors).values():
+        if not (isinstance(cls, type) and issubclass(cls, ThreshlabError)):
+            continue
+        exc = (cls("delta", "delta=0.2 outside (0, 1/11)") if cls is PremiseFails
+               else cls("says no"))
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is cls and str(clone) == str(exc)
+        assert getattr(clone, "which", None) == getattr(exc, "which", None)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")

@@ -114,7 +114,7 @@ def reference_draw(P, n, seed):
     envelope (at least 1), then as many acceptance uniforms; the label of
     an accepted x is +1 where its uniform times f_sigma(x) is below f+(x)."""
     rng = np.random.Generator(reference_stream(seed))
-    base = P if P.base is None else P.base
+    base = P.marginal
     envelope = base.envelope
     c = max(envelope, 1.0)
     xs, fs, got, rounds = [], [], 0, 0

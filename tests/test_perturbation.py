@@ -1,6 +1,7 @@
 """Bump profile, amplitude schedule, perturbed pairs, and certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,10 +111,22 @@ def test_sum_preservation(models, bump, eps):
         q = perturb(P, bump, eps)
         assert np.max(np.abs(q.fsum(x) - P.fsum(x))) <= 1e-12
         assert P.marginal is P and q.base is P and q.marginal is P
-        assert perturb(q, bump, eps / 2).base is P
-    # only perturb sets a base: no constructor takes one
-    with pytest.raises(TypeError):
-        DensityPair(P.fplus, P.fminus, base=P)
+        twice = perturb(q, bump, eps / 2)
+        assert twice.base is P and twice.marginal is P
+    # only perturb sets a base and breakpoints: DensityPair takes neither
+    for kwargs in ({"base": P}, {"breakpoints": (0.3,)}):
+        with pytest.raises(TypeError):
+            DensityPair(P.fplus, P.fminus, **kwargs)
+
+
+def test_renamed_perturbed_pair_keeps_its_bump(models, bump):
+    # model_from_config renames a pair with a plain dataclasses.replace
+    for P in models.values():
+        q = perturb(P, bump, 0.08)
+        named = replace(q, name="x")
+        assert type(named) is type(q) and named.name == "x"
+        assert named.base is q.base and named.breakpoints == q.breakpoints
+        assert named.threshold.hex() == q.threshold.hex()
 
 
 @pytest.mark.parametrize("eps", [0.04, 0.08, 0.16])
