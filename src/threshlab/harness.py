@@ -92,10 +92,10 @@ class RateReport:
 
 def _trial_block(P, estimators, n, start, stop, master_seed):
     """Score trials [start, stop) of one master seed at size n, each block
-    drawn once for every estimator; returns one pair of arrays
-    (|a_hat - a(P)|, excess risk) per estimator, one entry per trial."""
+    drawn once for every estimator; returns [|a_hat - a(P)|, excess risk],
+    two arrays of shape (estimators, trials)."""
     a_hats = estimate_all(P, estimators, n, master_seed, range(start, stop))
-    return list(zip(np.abs(a_hats - P.threshold), excess_risk(P, a_hats)))
+    return [np.abs(a_hats - P.threshold), excess_risk(P, a_hats)]
 
 
 def _score_share(P, pieces):
@@ -105,17 +105,17 @@ def _score_share(P, pieces):
 
 
 def _run_child(P, share, write_fd, read_fds):
-    """A forked child's whole life: score its share, pickle (True, result)
-    or (False, exception) into write_fd, and _exit without returning into
+    """A forked child's whole life: score its share, pickle the list, or
+    the exception raised, into write_fd, and _exit without returning into
     the caller's stack or flushing stdio buffers it shares with the parent."""
     code = 1
     try:
         for fd in read_fds:  # its own read end, and any earlier sibling's
             os.close(fd)
         try:
-            message = (True, _score_share(P, share))
+            message = _score_share(P, share)
         except BaseException as exc:  # the parent raises it
-            message = (False, exc)
+            message = exc
         with open(write_fd, "wb") as pipe:
             pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -154,8 +154,8 @@ def _forked_shares(P, shares):
             if status != 0:
                 raise ThreshlabError(f"a rate_sweep worker exited with status "
                                      f"{status} before returning its share")
-            ok, value = pickle.loads(message)
-            if not ok:
+            value = pickle.loads(message)
+            if isinstance(value, BaseException):
                 raise value
             scored.append(value)
     finally:
@@ -169,26 +169,25 @@ def _forked_shares(P, shares):
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """One RateRow per (estimator, n); deterministic given master_seed.
 
-    Each n's trials are cut into k = min(workers, trials) consecutive
-    shares, and a share's trials are drawn once and scored by every
-    estimator.  This process scores share 0 of every n while k - 1 other
-    processes, started and reaped inside the call, score the others, one
-    share a process: on Linux each is forked and returns its share through
-    a pipe, elsewhere they are a ProcessPoolExecutor's.  The blocks are put
-    back in (estimator, n, trial) order, so the rows do not depend on the
-    worker count.
+    Each n's trials are cut into k = max(1, min(workers, trials))
+    consecutive shares, and a share's trials are drawn once and scored by
+    every estimator.  This process scores share 0 of every n while k - 1
+    other processes, started and reaped inside the call, score the others,
+    one share a process: on Linux each is forked and returns its share
+    through a pipe, elsewhere they are a ProcessPoolExecutor's.  A serial
+    sweep is one share, scored here with no other process.  The shares are
+    put back in trial order, so the rows do not depend on the worker count.
     """
     P = resolve_model(cfg.model)
     P.marginal.envelope  # computed once here, not again in each share
-    cells = [(est, n) for est in cfg.estimators for n in cfg.n_list]
-    k = min(cfg.workers, cfg.trials)
+    if not (cfg.estimators and cfg.n_list):
+        return RateReport(rows=())
+    k = max(1, min(cfg.workers, cfg.trials))
     # trial t at size n is trial n * 2^64 + t of the master seed, for all estimators
     shares = [[(cfg.estimators, n, (n << 64) + cfg.trials * i // k,
                 (n << 64) + cfg.trials * (i + 1) // k, cfg.master_seed)
                for n in cfg.n_list] for i in range(k)]
-    if k <= 1:
-        scored = [_score_share(P, share) for share in shares]
-    elif sys.platform == "linux":
+    if k == 1 or sys.platform == "linux":
         scored = _forked_shares(P, shares)
     else:  # no os.fork on Windows, and fork is unsafe on macOS
         from concurrent.futures import ProcessPoolExecutor
@@ -197,16 +196,15 @@ def rate_sweep(cfg: ExperimentConfig) -> RateReport:
                         for share in shares[1:]]
             scored = [_score_share(P, shares[0]),
                       *(child.result() for child in children)]
-    # scored[i][j][e] is the pair (errors, excess risks) of share i, the
-    # j-th n and the e-th estimator; a cell's blocks, one a share, hold its
-    # cfg.trials trials in order
-    blocks = [share[j][e] for e in range(len(cfg.estimators))
-              for j in range(len(cfg.n_list)) for share in scored]
-    errs, excess = (np.concatenate([np.empty(0), *(b[j] for b in blocks)])
-                    .reshape(len(cells), cfg.trials) for j in (0, 1))
+    # scored[i][j] is share i's [errors, excess risks] at the j-th n; each
+    # quantity becomes one (n, estimator, trial) array
+    errs, excess = (np.concatenate([np.stack([piece[q] for piece in share])
+                                    for share in scored], axis=2)
+                    for q in (0, 1))
     return RateReport(rows=tuple(
-        _aggregate(cfg, P.name, est, n, e, x)
-        for (est, n), e, x in zip(cells, errs, excess)))
+        _aggregate(cfg, P.name, est, n, errs[j, e], excess[j, e])
+        for e, est in enumerate(cfg.estimators)
+        for j, n in enumerate(cfg.n_list)))
 
 
 def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,

@@ -237,6 +237,55 @@ def test_pooled_jobs_ship_the_pair_with_its_envelope(executor_platform):
             list(rates_csv_lines(rate_sweep(small_config(model=model))))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("grid", [{"estimators": ()}, {"n_list": ()}])
+def test_an_empty_sweep_starts_no_process(grid, workers, forks,
+                                          executor_platform, monkeypatch):
+    cfg = ExperimentConfig(**{"model": "canonical", "estimators": ("erm",),
+                              "n_list": (64,), "trials": 5, "master_seed": 1,
+                              "workers": workers, **grid})
+    assert rate_sweep(cfg).rows == ()
+    assert executor_platform.started == []
+    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="linux"))
+    assert rate_sweep(cfg).rows == ()
+    assert forks == []
+
+
+def test_executor_shares_survive_a_spawned_interpreter():
+    # spawn, the default start method on macOS and Windows, rebuilds each
+    # share and its pair from pickled bytes in a fresh interpreter.  The
+    # sweep runs in a fresh interpreter too: spawn starts a resource tracker
+    # that lives as long as the process that started it
+    code = """if True:
+        import concurrent.futures, json, multiprocessing
+        from types import SimpleNamespace
+        from threshlab import harness
+        from threshlab.model import model_from_config
+        started = []
+        def spawning(max_workers, pool=concurrent.futures.ProcessPoolExecutor):
+            started.append(max_workers)
+            return pool(max_workers, mp_context=multiprocessing.get_context("spawn"))
+        concurrent.futures.ProcessPoolExecutor = spawning
+        harness.sys = SimpleNamespace(platform="win32")
+        bump = model_from_config({"model.family": "perturbed",
+                                  "model.base": "curved", "model.eps": "0.08",
+                                  "model.name": "my-bump"})
+        print(json.dumps([started, *(list(harness.rates_csv_lines(
+            harness.rate_sweep(harness.ExperimentConfig(
+                model=bump, estimators=("erm", "twostep:L=4", "clock"),
+                n_list=(64, 256), trials=21, master_seed=20260823,
+                workers=w)))) for w in (1, 3))]))
+    """
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    started, serial, spawned = json.loads(out)
+    assert started == [2] and len(serial) == 7
+    assert spawned == serial
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
 def test_pool_forks_its_workers_on_linux(recording_pool, forks):
     # forked with os.fork, not left to an executor, whose default start

@@ -264,11 +264,11 @@ def test_trial_block_equals_per_trial_reference(name, n, estimator):
     names = tuple(order[k:] + order[:k])
     P = MODELS[name]
     start, stop, master = 5, 5 + 12, 987654321
-    pairs = harness._trial_block(P, names, n, start, stop, master)
-    assert len(pairs) == len(names)
+    errors, excesses = harness._trial_block(P, names, n, start, stop, master)
+    assert errors.shape == excesses.shape == (len(names), stop - start)
     samples = [reference_draw(P, n, SeedPolicy(master, t))[:2]
                for t in range(start, stop)]
-    for est, (errs, excess) in zip(names, pairs):
+    for est, errs, excess in zip(names, errors, excesses):
         a_hats = [float(REFERENCE[est](x, y)) for x, y in samples]
         assert bits(errs) == bits([abs(a - P.threshold) for a in a_hats])
         assert bits(excess) == bits([excess_risk(P, a) for a in a_hats])
