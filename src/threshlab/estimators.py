@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SampleTooSmall
-from .model import DensityPair
 from .sampling import LabeledSample, SeedPolicy, draw_block, sub_blocks
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "resolve_estimator",
     "estimator_key",
     "estimate_all",
-    "estimate_trials",
 ]
 
 
@@ -244,32 +242,32 @@ def estimator_key(name: str):
     return name.partition(":")[0], 1.0 if name == "twostep" else L
 
 
-def estimate_all(P: DensityPair, estimators, n: int, master_seed: int,
+def estimate_all(pairs, estimators, n: int, master_seed: int,
                  trial_indices) -> np.ndarray:
-    """The trial kernel: entry (i, k) is estimators[i]'s estimate of a(P)
-    from draw(P, n, SeedPolicy(master_seed, trial_indices[k])).  Trials are
-    drawn a sub-block at a time (sampling.sub_blocks), each block once, and
-    every estimator scores that draw; the clock reads no sample, so a tuple
-    of clocks draws none."""
+    """The trial kernel: entry (j, i, k) is estimators[i]'s estimate of
+    a(pairs[j]) from draw(pairs[j], n, SeedPolicy(master_seed,
+    trial_indices[k])).  Trials are drawn a sub-block at a time
+    (sampling.sub_blocks), each block once for all pairs with one marginal
+    (`==`), and every estimator scores each pair's labels on that draw; the
+    clock reads no sample, so a tuple of clocks draws none."""
     scorers = [resolve_estimator(name)[0] for name in estimators]
     if len(trial_indices):
         SeedPolicy(master_seed, min(trial_indices))  # the clock's seeds too
-    out = np.full((len(scorers), len(trial_indices)), clock_estimator(max(n, 1)))
+    out = np.full((len(pairs), len(scorers), len(trial_indices)),
+                  clock_estimator(max(n, 1)))
     drawn = [i for i, name in enumerate(estimators) if name != "clock"]
-    start = 0
-    for block in sub_blocks(trial_indices, n, P.marginal.envelope) if drawn else ():
-        # x, y outlive the next draw; a del here made rate sweeps fault 1.7x as often
-        x, y = draw_block(P, n, master_seed, block)
-        stop = start + len(block)
-        for i in drawn:
-            out[i, start:stop] = scorers[i](x, y)
-        start = stop
+    groups = {}  # marginal -> the indices of its pairs
+    for j, pair in enumerate(pairs):
+        groups.setdefault(pair.marginal, []).append(j)
+    for M, group in groups.items() if drawn else ():
+        start = 0
+        for block in sub_blocks(trial_indices, n, M.envelope):
+            # x, ys outlive the next draw; a del here made rate sweeps
+            # fault 1.7x as often
+            x, ys = draw_block([pairs[j] for j in group], n, master_seed, block)
+            stop = start + len(block)
+            for j, y in zip(group, ys):
+                for i in drawn:
+                    out[j, i, start:stop] = scorers[i](x, y)
+            start = stop
     return out
-
-
-def estimate_trials(P: DensityPair, estimator: str, n: int, master_seed: int,
-                    trial_indices) -> np.ndarray:
-    """estimate_all for one estimator: for each t in the sequence
-    trial_indices, the estimate of a(P) from draw(P, n, SeedPolicy(
-    master_seed, t)), in order."""
-    return estimate_all(P, (estimator,), n, master_seed, trial_indices)[0]

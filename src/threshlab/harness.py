@@ -94,7 +94,8 @@ def _trial_block(P, estimators, n, start, stop, master_seed):
     """Score trials [start, stop) of one master seed at size n, each block
     drawn once for every estimator; returns [|a_hat - a(P)|, excess risk],
     two arrays of shape (estimators, trials)."""
-    a_hats = estimate_all(P, estimators, n, master_seed, range(start, stop))
+    a_hats = estimate_all((P,), estimators, n, master_seed,
+                          range(start, stop))[0]
     return [np.abs(a_hats - P.threshold), excess_risk(P, a_hats)]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, PremiseFails, TooLarge
-from .estimators import estimate_trials
+from .estimators import estimate_all
 from .model import DensityPair
 from .perturbation import two_point_premises
 from .sampling import SeedPolicy
@@ -97,7 +97,8 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     """Two-point disjunction: under the premises n H(P,Q) <= (1/2)|log(11 delta)|
     and beta |a(P) - a(Q)| > 4 (perturbation.two_point_premises), at least
     one chi-mean must fall below 1 - delta.  Monte Carlo estimates both means
-    and asserts the conclusion up to 3 binomial standard errors.
+    and asserts the conclusion up to 3 binomial standard errors.  Trial t
+    reads stream seed.trial_index + t under both P and Q.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -108,14 +109,15 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     if not separation_ok:
         raise PremiseFails("separation",
                            f"beta|a(P)-a(Q)|={separation:.4g} <= 4")
+    # both pairs score trial t on stream seed.trial_index + t; perturb keeps
+    # the X-marginal, so each block's x and label uniforms are drawn once
+    first = seed.trial_index
+    a_hats = estimate_all((P, Q), (estimator,), n, seed.master_seed,
+                          range(first, first + trials))[:, 0]
     means, errs = [], []
-    for k, pair in enumerate((P, Q)):
-        # P takes the even offsets from seed.trial_index, Q the odd ones
-        first = seed.trial_index + k
-        a_hats = estimate_trials(pair, estimator, n, seed.master_seed,
-                                 range(first, first + 2 * trials, 2))
+    for pair, row in zip((P, Q), a_hats):
         # chi is the indicator of the closed window [-1, 1]
-        hits = np.count_nonzero(np.abs(beta * (a_hats - pair.threshold)) <= 1.0)
+        hits = np.count_nonzero(np.abs(beta * (row - pair.threshold)) <= 1.0)
         mean = hits / trials
         means.append(mean)
         errs.append(math.sqrt(max(mean * (1.0 - mean), 1e-12) / trials))

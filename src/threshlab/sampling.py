@@ -6,8 +6,10 @@ whose f_sigma it equals in exact arithmetic); the label is +1 with
 probability f+ / f_sigma at X.  Each trial owns a private stream, a pure
 function of (master_seed, trial_index), so results are byte-identical
 regardless of worker schedule or of how trials are grouped into blocks.
+Pairs that share one marginal (`==`) draw a block together: x and the
+label uniforms are drawn once, and only the label test runs per pair.
 
-Stream layout (stream_version 3).  Trial t of master seed s, 0 <= s < 2^128,
+Stream layout (stream_version 4).  Trial t of master seed s, 0 <= s < 2^128,
 reads the doubles of numpy's PCG64 seeded with four 64-bit words: the first
 four that numpy's Philox, keyed by s, draws from counter t.  Philox is
 counter-based, so distinct trial indices give independent words, and each
@@ -15,7 +17,9 @@ trial's PCG64 starts from its own random state on its own stream.  Each
 rejection round takes k abscissae, then k acceptance uniforms, with k sized
 from the acceptance rate 1/envelope; once n points are accepted, n label
 uniforms follow.  `sample` reads trial 0, and a rate sweep reads trial t at
-sample size n as trial n * 2^64 + t (harness).
+sample size n as trial n * 2^64 + t (harness).  The disjunction's trial t
+reads trial_index + t under both P and Q, one draw of x for the two
+(lowerbound).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .model import DensityPair
 __all__ = ["SeedPolicy", "LabeledSample", "draw", "draw_block", "sub_blocks",
            "cdf_sigma"]
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 # A block of trials draws its first-round abscissae and acceptance uniforms
 # together, up to this many doubles: one trial at n = 10^4, 16 at n = 1000,
 # 63 at n = 250.  Three-trial blocks at n = 10^4 ran slower: the heap gave
@@ -112,8 +116,8 @@ class LabeledSample:
 
 def draw(P: DensityPair, n: int, seed: SeedPolicy) -> LabeledSample:
     """n i.i.d. copies of (X, Y) under P, fully deterministic given the seed."""
-    x, y = draw_block(P, n, seed.master_seed, [seed.trial_index])
-    return LabeledSample(x=x[0], y=y[0])
+    x, y = draw_block((P,), n, seed.master_seed, [seed.trial_index])
+    return LabeledSample(x=x[0], y=y[0, 0])
 
 
 def _proposal_size(m: int, envelope: float) -> int:
@@ -124,19 +128,23 @@ def _proposal_size(m: int, envelope: float) -> int:
     return math.ceil(m * c + _PROPOSAL_SDS * math.sqrt(m * c * (c - 1.0)))
 
 
-def draw_block(P: DensityPair, n: int, master_seed: int, trials) -> tuple:
-    """Samples of n points for a sequence of trial indices, as (x, y) arrays
-    of shape (len(trials), n); row k is draw(P, n, SeedPolicy(master_seed,
-    trials[k])).
+def draw_block(pairs, n: int, master_seed: int, trials) -> tuple:
+    """Samples of n points under each of a nonempty sequence of pairs with
+    one marginal (`==`), for a sequence of trial indices: x of shape
+    (len(trials), n) and y of shape (len(pairs), len(trials), n), where
+    (x[k], y[j, k]) is draw(pairs[j], n, SeedPolicy(master_seed, trials[k])).
 
     Each round stacks the proposals of every stream still short of n, so
     the marginal's f_sigma is evaluated once per round; every proposal is
     checked against the envelope.  The f_sigma values of the accepted
-    points are kept, and y = +1 where (label uniform) * f_sigma < f+.
+    points are kept, the label uniforms w are drawn once, and each pair's
+    y = +1 where w * f_sigma < its f+.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    M = P.marginal
+    if not pairs or any(p.marginal != pairs[0].marginal for p in pairs[1:]):
+        raise ValueError("draw_block needs one or more pairs with one marginal")
+    M = pairs[0].marginal
     envelope = M.envelope
     gens = _trial_generators(master_seed, trials)
     x = np.empty((len(gens), n))
@@ -171,10 +179,11 @@ def draw_block(P: DensityPair, n: int, master_seed: int, trials) -> tuple:
     for gen, row in zip(gens, w):
         gen.random(out=row)
     w *= fsum
-    # one flat call: the bump's in-support test is cheaper on a 1-d array
-    plus = w.ravel() < P.fplus.val(x.ravel())
+    w, flat = w.ravel(), x.ravel()
+    # one flat call a pair: the bump's in-support test is cheaper on a 1-d array
+    plus = np.stack([w < pair.fplus.val(flat) for pair in pairs])
     y = plus.view(np.int8) * np.int8(2) - np.int8(1)
-    return x, y.reshape(x.shape)
+    return x, y.reshape(len(pairs), *x.shape)
 
 
 def sub_blocks(trials, n: int, envelope: float) -> list:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson, relative_entropy
-from threshlab.estimators import erm_threshold, estimate_trials
+from threshlab.estimators import erm_threshold, estimate_all
 from threshlab.harness import ExperimentConfig, rate_sweep, rates_csv_lines
 from threshlab.lowerbound import (
     FiniteModel,
@@ -205,7 +205,8 @@ def test_criterion_09_window_width_improvement():
     scale = n ** (1.0 / 3.0)
     tails = {}
     for L in (1.0, 8.0):
-        a_hats = estimate_trials(P, f"twostep:L={L}", n, 11083, range(trials))
+        ((a_hats,),) = estimate_all((P,), (f"twostep:L={L}",), n, 11083,
+                                    range(trials))
         hits = int(np.count_nonzero(scale * np.abs(a_hats - a) > 2.0))
         tails[L] = hits / trials
     report(9, "wider refinement window does not inflate the error tail",

@@ -9,7 +9,7 @@ from threshlab.errors import SampleTooSmall
 from threshlab.estimators import (
     clock_estimator,
     erm_threshold,
-    estimate_trials,
+    estimate_all,
     refine_local,
     resolve_estimator,
     two_step,
@@ -277,9 +277,9 @@ def test_resolve_names():
         resolve_estimator("twostep:M=1")
 
 
-def test_estimate_trials_matches_per_trial_loop():
+def test_estimate_all_row_matches_per_trial_loop():
     P = builtin_model("tilted")
     trials = [5, 0, 17]
-    got = estimate_trials(P, "twostep:L=2", 128, 42, trials)
+    ((got,),) = estimate_all((P,), ("twostep:L=2",), 128, 42, trials)
     want = [two_step(draw(P, 128, SeedPolicy(42, t)), 2.0) for t in trials]
     assert got.tolist() == want

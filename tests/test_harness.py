@@ -479,8 +479,8 @@ def test_rate_rows_read_counter_n_2_64_plus_t_for_every_estimator(workers):
 def test_two_spellings_of_one_estimator_read_the_same_samples():
     P = builtin_model("tilted")
     for n in (64, 250):
-        spelled = estimate_all(P, ("twostep:L=4", "twostep:L=4.0"), n,
-                               20260823, range((n << 64), (n << 64) + 9))
+        (spelled,) = estimate_all((P,), ("twostep:L=4", "twostep:L=4.0"),
+                                  n, 20260823, range(n << 64, (n << 64) + 9))
         assert spelled[0].tolist() == spelled[1].tolist()
 
 
@@ -542,7 +542,7 @@ def test_json_payload_schema(tmp_path):
     emit_outputs(report, tmp_path)
     payload = json.loads((tmp_path / "rates.json").read_text())
     assert payload["schema_version"] == 2
-    assert payload["stream_version"] == 3
+    assert payload["stream_version"] == 4
     assert len(payload["rows"]) == len(report.rows)
     first = payload["rows"][0]
     assert set(first) == set(RATES_HEADER.split(","))
@@ -699,6 +699,15 @@ def test_cli_disjunction_holds(capsys):
                      "--n", "10000", "--estimator", "erm"]) == 0
     out = capsys.readouterr().out
     assert "verdict: holds" in out
+
+
+def test_cli_disjunction_matches_golden_bytes(capsys):
+    # P and Q both score trials 0..49 of master seed 3 (stream_version 4)
+    assert cli.main(["--seed", "3", "--trials", "50", "disjunction",
+                     "--model", "canonical", "--n", "10000",
+                     "--estimator", "erm"]) == 0
+    assert capsys.readouterr().out == \
+        (DATA / "disjunction_canonical_seed3.txt").read_text()
 
 
 def test_cli_risk_curve(capsys):

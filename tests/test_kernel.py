@@ -20,7 +20,7 @@ from threshlab.errors import EnvelopeViolated
 from threshlab.estimators import (
     clock_estimator,
     erm_block,
-    estimate_trials,
+    estimate_all,
     two_step_block,
 )
 from threshlab.expr import (
@@ -224,7 +224,7 @@ def bits(values):
 def test_draw_block_rows_equal_per_stream_loop(name, n):
     P = MODELS[name]
     seeds = [SeedPolicy(2024, t) for t in (7, 0, 3, 11, 12)]
-    x, y = draw_block(P, n, 2024, [seed.trial_index for seed in seeds])
+    x, (y,) = draw_block((P,), n, 2024, [seed.trial_index for seed in seeds])
     assert x.shape == y.shape == (len(seeds), n)
     for k, seed in enumerate(seeds):
         rx, ry, _ = reference_draw(P, n, seed)
@@ -246,7 +246,7 @@ def test_low_acceptance_pair_forces_refill_rounds():
     assert refill
     # in one block with streams that need one round, each row still matches
     seeds = [SeedPolicy(master, t) for t in sorted({0, 1, 2, *refill})]
-    x, y = draw_block(P, n, master, [seed.trial_index for seed in seeds])
+    x, (y,) = draw_block((P,), n, master, [seed.trial_index for seed in seeds])
     for k, seed in enumerate(seeds):
         rx, ry, _ = reference_draw(P, n, seed)
         assert x[k].tobytes() == rx.tobytes()
@@ -351,21 +351,22 @@ def test_envelope_violation_still_raises():
     P = builtin_model("canonical")
     P.__dict__["envelope"] = 0.5  # below f_sigma = 1
     with pytest.raises(EnvelopeViolated):
-        draw_block(P, 10, 1, range(3))
+        draw_block((P,), 10, 1, range(3))
     with pytest.raises(EnvelopeViolated):
-        estimate_trials(P, "erm", 10, 1, range(3))
+        estimate_all((P,), ("erm",), 10, 1, range(3))
 
 
 def test_clock_trials_draw_nothing(monkeypatch):
-    def no_draw(P, n, master_seed, trials):
+    def no_draw(pairs, n, master_seed, trials):
         raise AssertionError("the clock drew a sample")
 
     monkeypatch.setattr(estimators, "draw_block", no_draw)
     P = builtin_model("canonical")
+    pairs = (P, MODELS["canonical-certified-q"], MODELS["tilted"])
     for n in (0, 1, 6, 10 ** 4):
-        got = estimate_trials(P, "clock", n, 3, range(7))
-        assert bits(got) == bits([clock_estimator(max(n, 1))] * 7)
-    assert estimate_trials(P, "clock", 10, 3, []).shape == (0,)
+        got = estimate_all(pairs, ("clock",), n, 3, range(7))
+        assert bits(got) == bits([[[clock_estimator(max(n, 1))] * 7]] * 3)
+    assert estimate_all(pairs, ("clock",), 10, 3, []).shape == (3, 1, 0)
 
 
 @pytest.mark.parametrize("master, trial", [(-1, 0), (2 ** 128, 0), (0, -1)])
@@ -375,23 +376,23 @@ def test_kernel_rejects_seeds_without_a_stream(master, trial):
     P = builtin_model("canonical")
     trials = [3, 0, trial] if trial < 0 else [0, 1]
     with pytest.raises(ValueError):
-        draw_block(P, 10, master, trials)
+        draw_block((P,), 10, master, trials)
     for name in ("erm", "clock"):
         with pytest.raises(ValueError):
-            estimate_trials(P, name, 10, master, trials)
+            estimate_all((P,), (name,), 10, master, trials)
 
 
 def test_sub_blocks_respect_the_uniform_cap(monkeypatch):
     blocks = []
 
-    def recording_draw_block(P, n, master_seed, trials):
+    def recording_draw_block(pairs, n, master_seed, trials):
         blocks.append((n, len(trials)))
-        return draw_block(P, n, master_seed, trials)
+        return draw_block(pairs, n, master_seed, trials)
 
     monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
     P = builtin_model("canonical")
     for n in (250, 1000, 10 ** 4):
-        estimate_trials(P, "erm", n, 3, range(25))
+        estimate_all((P,), ("erm",), n, 3, range(25))
     per_n = {n: [k for m, k in blocks if m == n] for n, _ in blocks}
     # first-round doubles a trial under envelope 1.01: 2 x 258 at n = 250,
     # 2 x 1020 at n = 1000 and 2 x 10131 at n = 10^4
@@ -411,9 +412,9 @@ MIXED = ("erm", "twostep:L=4", "clock", "twostep")
 def test_rate_sweep_draws_each_block_once(monkeypatch):
     blocks = []
 
-    def recording_draw_block(P, n, master_seed, trials):
+    def recording_draw_block(pairs, n, master_seed, trials):
         blocks.append((n, list(trials)))
-        return draw_block(P, n, master_seed, trials)
+        return draw_block(pairs, n, master_seed, trials)
 
     monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
 
@@ -436,16 +437,18 @@ def test_rate_sweep_draws_each_block_once(monkeypatch):
 
 @pytest.mark.parametrize("name", list(MODELS))
 def test_estimate_all_rows_equal_estimate_trials(name):
+    """Each row of a call with several estimators equals the call with that
+    estimator alone."""
     # at n = 1000 these 25 trials are drawn in blocks of 16 and 9
     P = MODELS[name]
     trials = [5, 0, 17, 3, 40, 41, 2, 99, 7, 8, 60, 1, 11, 12, 13, 30,
               31, 4, 50, 6, 9, 70, 21, 22, 23]
-    got = estimators.estimate_all(P, MIXED, 1000, 2024, trials)
+    (got,) = estimate_all((P,), MIXED, 1000, 2024, trials)
     assert got.shape == (len(MIXED), len(trials))
     for row, est in zip(got, MIXED):
-        assert bits(row) == bits(estimate_trials(P, est, 1000, 2024, trials))
-    assert estimators.estimate_all(P, MIXED, 1000, 2024, []).shape == \
-        (len(MIXED), 0)
+        assert bits(row) == bits(estimate_all((P,), (est,), 1000, 2024, trials))
+    assert estimate_all((P,), MIXED, 1000, 2024, []).shape == \
+        (1, len(MIXED), 0)
 
 
 # --- support-aware Sum against full evaluation ----------------------------------
@@ -463,6 +466,33 @@ SUPPORT_MODELS = {
         "model.family": "perturbed", "model.base": "curved",
         "model.eps": "0.07"}),
 }
+
+
+@pytest.mark.parametrize("name", ["canonical", "tilted", "curved"])
+@pytest.mark.parametrize("n", [1000, 10 ** 4])
+def test_pair_with_its_certified_q_draws_each_block_once(name, n, monkeypatch):
+    """perturb keeps the marginal, so a (P, Q) call makes one draw_block
+    call a block, and each pair's rows equal those of its own call."""
+    P = builtin_model(name)
+    Q = build_certificate(P, default_bump(), 0.05, n).q
+    calls = []
+
+    def recording_draw_block(pairs, n, master_seed, trials):
+        calls.append((tuple(pairs), list(trials)))
+        return draw_block(pairs, n, master_seed, trials)
+
+    monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
+    trials = list(range(40, 57))  # blocks of 16 and 1 at n = 1000
+    got = estimate_all((P, Q), MIXED, n, 2024, trials)
+    blocks = sub_blocks(trials, n, P.envelope)
+    assert calls == [((P, Q), block) for block in blocks]
+    for pair, rows in zip((P, Q), got):
+        assert bits(rows) == bits(estimate_all((pair,), MIXED, n, 2024, trials))
+    x, y = draw_block((P, Q), n, 2024, blocks[0])
+    for pair, rows in zip((P, Q), y):
+        own_x, (own_y,) = draw_block((pair,), n, 2024, blocks[0])
+        assert own_x.tobytes() == x.tobytes()
+        assert own_y.tobytes() == rows.tobytes()
 
 
 def nodes(f):
@@ -597,15 +627,16 @@ def test_draw_evaluates_the_bump_only_on_its_support(monkeypatch):
 
 
 def draw_digest(P, n, master_seed, trials):
-    x, y = draw_block(P, n, master_seed, trials)
+    x, (y,) = draw_block((P,), n, master_seed, trials)
     h = hashlib.sha256(x.astype(float).tobytes())
     h.update(y.astype(np.int8).tobytes())
     return h.hexdigest()
 
 
-# sha256 of the x then y bytes of draw_block(Q, 10^4, seeds (s, 0) and (s, 1))
-# for the certified Q at delta = 0.05, on stream_version 2 and 3 (3 changed
-# only which trials a rate sweep reads)
+# sha256 of the x then y bytes of draw_block((Q,), 10^4, seeds (s, 0) and
+# (s, 1)) for the certified Q at delta = 0.05, on stream_version 2 to 4 (3
+# changed only which trials a rate sweep reads, 4 only which the
+# disjunction reads)
 GOLDEN_Q = {
     ("canonical", 0): "232cc2280b20c2eb41e1730276311079dade87d0f3a7c329e0457feab1a8af99",
     ("canonical", 7): "3d6028a4ccad81f3efc86fded3f29075edeceb62ce1b89e0ce52f15a7ecc744d",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threshlab import lowerbound, perturbation
+from threshlab import estimators, lowerbound, perturbation
 from threshlab.errors import InvalidModel, PremiseFails, TooLarge
 from threshlab.estimators import erm_threshold
 from threshlab.lowerbound import (
@@ -17,13 +17,13 @@ from threshlab.lowerbound import (
     lemma21_check,
     lemma71_check,
 )
-from threshlab.model import builtin_model
+from threshlab.model import DensityPair, builtin_model
 from threshlab.perturbation import (
     build_certificate,
     default_bump,
     two_point_premises,
 )
-from threshlab.sampling import SeedPolicy, draw
+from threshlab.sampling import SeedPolicy, draw, draw_block
 
 
 def random_finite_model(rng, k):
@@ -143,20 +143,44 @@ def test_disjunction_clock_small_run(cert):
 
 
 def test_disjunction_streams_match_per_trial_reference(cert):
-    """Trial t runs on stream trial_index + 2t under P and + 2t + 1 under Q."""
+    """Trial t runs on stream trial_index + t under both P and Q."""
     P, Q, n, trials = builtin_model("canonical"), cert.q, 10 ** 4, 50
     rep = disjunction_check(P, Q, n, cert.beta, 0.05, "erm", trials=trials,
                             seed=SeedPolicy(3, 4))
     means = []
-    for k, pair in enumerate((P, Q)):
+    for pair in (P, Q):
         hits = 0
         for t in range(trials):
-            s = draw(pair, n, SeedPolicy(3, 4 + 2 * t + k))
+            s = draw(pair, n, SeedPolicy(3, 4 + t))
             err = erm_threshold(s).a_hat - pair.threshold
             hits += int(abs(cert.beta * err) <= 1.0)
         means.append(hits / trials)
     assert (rep.chi_mean_p, rep.chi_mean_q) == tuple(means)
     assert any(means)  # some hits, so the streams are actually compared
+
+
+def test_disjunction_with_another_marginal_draws_apart(cert, monkeypatch):
+    """A P whose marginal differs from Q's (here by its name alone) is drawn
+    in calls of its own, on the same trials, and gives the same report."""
+    P = builtin_model("canonical")
+    renamed = DensityPair(P.fplus, P.fminus, name="canonical-copy")
+    assert renamed.marginal != cert.q.marginal
+    with pytest.raises(ValueError):
+        draw_block((renamed, cert.q), 10, 0, range(2))
+    calls = []
+
+    def recording_draw_block(pairs, n, master_seed, trials):
+        calls.append((tuple(pairs), list(trials)))
+        return draw_block(pairs, n, master_seed, trials)
+
+    monkeypatch.setattr(estimators, "draw_block", recording_draw_block)
+    run = [disjunction_check(pair, cert.q, 10 ** 4, cert.beta, 0.05, "erm",
+                             trials=3, seed=SeedPolicy(5, 2))
+           for pair in (renamed, P)]
+    assert run[0] == run[1]
+    assert calls == [((renamed,), [t]) for t in (2, 3, 4)] \
+        + [((cert.q,), [t]) for t in (2, 3, 4)] \
+        + [((P, cert.q), [t]) for t in (2, 3, 4)]
 
 
 def test_disjunction_window_is_closed(cert, monkeypatch):
@@ -170,8 +194,8 @@ def test_disjunction_window_is_closed(cert, monkeypatch):
     beyond = [np.nextafter(edges[0], 1.0), np.nextafter(edges[1], 0.0)]
     estimates = {P.name: np.array(edges + beyond),
                  cert.q.name: np.full(4, cert.q.threshold)}
-    monkeypatch.setattr(lowerbound, "estimate_trials",
-                        lambda pair, *args: estimates[pair.name])
+    monkeypatch.setattr(lowerbound, "estimate_all", lambda pairs, *args:
+                        np.array([[estimates[pair.name]] for pair in pairs]))
     rep = disjunction_check(P, cert.q, 10 ** 4, beta, 0.05, "erm", trials=4,
                             seed=SeedPolicy(0))
     assert (rep.chi_mean_p, rep.chi_mean_q) == (0.5, 1.0)
@@ -233,8 +257,8 @@ def test_certificate_and_disjunction_share_the_entropy_budget(monkeypatch):
     above = 0.5 * math.log(1.0 / (11.0 * delta))
     assert above == math.nextafter(budget, math.inf)
     P = builtin_model("canonical")
-    monkeypatch.setattr(lowerbound, "estimate_trials",
-                        lambda pair, *args: np.full(2, pair.threshold))
+    monkeypatch.setattr(lowerbound, "estimate_all", lambda pairs, *args:
+                        np.array([[np.full(2, pair.threshold)] for pair in pairs]))
     for nh, ok in ((above, False), (budget, True)):
         monkeypatch.setattr(perturbation, "relative_entropy",
                             lambda P, Q, h=nh / n: h)
