@@ -72,9 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--estimators", default="erm,twostep:L=4")
     r.add_argument("--n-list", type=_int_list, default=(250, 1000, 4000))
     r.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="processes, this one included, at most max(1, "
-                        "min(N, trials)), each scoring a consecutive share "
-                        "of every n's trials; default 1")
+                   help="on Linux, processes, this one included, at most "
+                        "max(1, min(N, trials)), each scoring a consecutive "
+                        "share of every n's trials; elsewhere the sweep runs "
+                        "in this one process; default 1")
     r.add_argument("--svg", action="store_true")
 
     c = sub.add_parser("certificate", help="two-point certificate sweep")

@@ -37,6 +37,9 @@ __all__ = [
     "parse_config",
 ]
 
+# os.fork is missing on Windows and unsafe on macOS
+_FORK = sys.platform == "linux"
+
 RATES_HEADER = "model,estimator,L,n,trials,q50,q90,q95,mean_excess_scaled,seed"
 CERT_HEADER = "model,delta,n,eps,c1,beta,nH,budget,sep,entropy_ok,sep_ok"
 
@@ -170,33 +173,25 @@ def _forked_shares(P, shares):
 def rate_sweep(cfg: ExperimentConfig) -> RateReport:
     """One RateRow per (estimator, n); deterministic given master_seed.
 
-    Each n's trials are cut into k = max(1, min(workers, trials))
-    consecutive shares, and a share's trials are drawn once and scored by
-    every estimator.  This process scores share 0 of every n while k - 1
-    other processes, started and reaped inside the call, score the others,
-    one share a process: on Linux each is forked and returns its share
-    through a pipe, elsewhere they are a ProcessPoolExecutor's.  A serial
-    sweep is one share, scored here with no other process.  The shares are
-    put back in trial order, so the rows do not depend on the worker count.
+    Each n's trials are cut into k consecutive shares, and a share's trials
+    are drawn once and scored by every estimator.  On Linux k = max(1,
+    min(workers, trials)): this process scores share 0 of every n while
+    k - 1 forked children, started and reaped inside the call, score the
+    others, one share a child, each returning it through a pipe.  Elsewhere
+    k = 1 whatever workers is, and this process scores the whole sweep.
+    The shares are put back in trial order, so the rows do not depend on
+    the worker count.
     """
     P = resolve_model(cfg.model)
     P.marginal.envelope  # computed once here, not again in each share
     if not (cfg.estimators and cfg.n_list):
         return RateReport(rows=())
-    k = max(1, min(cfg.workers, cfg.trials))
+    k = max(1, min(cfg.workers, cfg.trials)) if _FORK else 1
     # trial t at size n is trial n * 2^64 + t of the master seed, for all estimators
     shares = [[(cfg.estimators, n, (n << 64) + cfg.trials * i // k,
                 (n << 64) + cfg.trials * (i + 1) // k, cfg.master_seed)
                for n in cfg.n_list] for i in range(k)]
-    if k == 1 or sys.platform == "linux":
-        scored = _forked_shares(P, shares)
-    else:  # no os.fork on Windows, and fork is unsafe on macOS
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(k - 1) as pool:
-            children = [pool.submit(_score_share, P, share)
-                        for share in shares[1:]]
-            scored = [_score_share(P, shares[0]),
-                      *(child.result() for child in children)]
+    scored = _forked_shares(P, shares)
     # scored[i][j] is share i's [errors, excess risks] at the j-th n; each
     # quantity becomes one (n, estimator, trial) array
     errs, excess = (np.concatenate([np.stack([piece[q] for piece in share])

@@ -117,7 +117,8 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     means, errs = [], []
     for pair, row in zip((P, Q), a_hats):
         # chi is the indicator of the closed window [-1, 1]
-        hits = np.count_nonzero(np.abs(beta * (row - pair.threshold)) <= 1.0)
+        inside = np.abs(beta * (row - pair.threshold)) <= 1.0
+        hits = int(np.count_nonzero(inside))
         mean = hits / trials
         means.append(mean)
         errs.append(math.sqrt(max(mean * (1.0 - mean), 1e-12) / trials))

@@ -57,9 +57,9 @@ class DensityPair:
     __post_init__.  `sup_density()` and the sampling `envelope` are cached
     per pair on first use, as is each Field node's `support`, and a pickled
     pair carries them.  `harness.rate_sweep` computes the envelope before it
-    starts any share: a forked share inherits it, and the executor branch
-    pickles it with the pair.  `perturbation.estimate_c1` is cached on the
-    value of (pair, bump), so equal pairs share one c1.
+    starts any share, so a forked share inherits it.
+    `perturbation.estimate_c1` is cached on the value of (pair, bump), so
+    equal pairs share one c1.
 
     `name` has no comma, double quote or line break (CSV cells are unquoted).
     `breakpoints`, the interior x where a derivative of the densities jumps,

@@ -1,7 +1,6 @@
 """Experiment driver: determinism, report formats, and the CLI."""
 
 import ast
-import concurrent.futures
 import errno
 import json
 import os
@@ -12,7 +11,6 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +32,7 @@ from threshlab.errors import (InvalidModel, PremiseFails, QuadratureNotConverged
                               ThreshlabError)
 from threshlab.estimators import (erm_threshold, estimate_all,
                                   resolve_estimator, two_step)
-from threshlab.model import (DensityPair, builtin_model, model_from_config,
-                             nonneg_on_grid)
+from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
 from threshlab.risk import excess_risk
 from threshlab.sampling import SeedPolicy, draw
 
@@ -95,18 +92,24 @@ def test_sweep_is_deterministic_across_worker_counts():
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_reports_are_byte_identical_when_shares_are_uneven(workers, tmp_path):
-    # 41 trials cut into 2, 3 or 8 shares of unequal sizes
-    paths = [emit_outputs(rate_sweep(small_config(workers=w, trials=41)),
-                          tmp_path / f"w{w}") for w in (1, workers)]
-    for serial, pooled in zip(*paths):
-        assert open(serial, "rb").read() == open(pooled, "rb").read()
+    # 41 trials cut into 2, 3 or 8 shares of unequal sizes, on a built-in
+    # pair and on a renamed perturbed one, whose X is drawn from its base
+    bump = model_from_config({"model.family": "perturbed", "model.base": "curved",
+                              "model.eps": "0.08", "model.name": "my-bump"})
+    assert bump.marginal is not bump
+    for i, model in enumerate(("canonical", bump)):
+        paths = [emit_outputs(rate_sweep(small_config(workers=w, trials=41,
+                                                      model=model)),
+                              tmp_path / f"m{i}-w{w}") for w in (1, workers)]
+        for serial, pooled in zip(*paths):
+            assert open(serial, "rb").read() == open(pooled, "rb").read()
 
 
 @pytest.fixture(autouse=True)
 def deadline():
     """Fails a test here that runs over a minute, such as a sweep waiting on
     a forked child that never ends its pipe, instead of hanging the suite."""
-    if sys.platform != "linux":  # the executor path forks nothing
+    if sys.platform != "linux":  # a sweep forks nothing off Linux
         yield
         return
 
@@ -133,47 +136,6 @@ def test_pooled_sweep_reaps_its_processes():
     assert_no_child_left()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each
-    submission's pickled bytes, and runs the submissions serially."""
-
-    started = []
-    shipped = []
-
-    def __init__(self, max_workers):
-        RecordingPool.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        message = pickle.dumps((fn, args))
-        RecordingPool.shipped.append(message)
-        fn, args = pickle.loads(message)
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(RecordingPool, "shipped", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    return RecordingPool
-
-
-@pytest.fixture
-def executor_platform(monkeypatch, recording_pool):
-    """rate_sweep as it runs where there is no os.fork: on the executor."""
-    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="win32"))
-    return recording_pool
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """The pid of each child that rate_sweep forks, through the real os.fork."""
@@ -195,104 +157,44 @@ def forks(monkeypatch):
 @pytest.mark.parametrize("trials, started", [(40, [7]), (3, [2]), (1, []),
                                              (0, [])])
 def test_pool_starts_at_most_one_process_per_job(trials, started, forks,
-                                                 executor_platform,
                                                  monkeypatch):
-    cfg = ExperimentConfig(model="canonical", estimators=("erm",),
-                           n_list=(64,), trials=trials, master_seed=1,
-                           workers=8)
-    # this process scores one share, so k - 1 more processes for k shares:
-    # a pool of k - 1 on the executor, and k - 1 forks on Linux
-    report = rate_sweep(cfg)
-    assert executor_platform.started == started
-    assert len(executor_platform.shipped) == sum(started)
+    cfg = {"model": "canonical", "estimators": ("erm",), "n_list": (64,),
+           "trials": trials, "master_seed": 1}
+    serial = list(rates_csv_lines(rate_sweep(ExperimentConfig(**cfg))))
+    if harness._FORK:
+        # this process scores one share, so k - 1 forks for k shares
+        forked = rate_sweep(ExperimentConfig(**cfg, workers=8))
+        assert list(rates_csv_lines(forked)) == serial
+        assert len(forks) == sum(started)
+        assert_no_child_left()
+        forks.clear()
+    # off Linux a sweep is one share, scored in this process
+    monkeypatch.setattr(harness, "_FORK", False)
+    report = rate_sweep(ExperimentConfig(**cfg, workers=8))
+    assert list(rates_csv_lines(report)) == serial
     assert [r.trials for r in report.rows] == [trials]
-    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="linux"))
-    forked = rate_sweep(cfg)
-    assert list(rates_csv_lines(forked)) == list(rates_csv_lines(report))
-    assert len(forks) == sum(started)
-    assert executor_platform.started == started
+    assert forks == []
     assert_no_child_left()
-
-
-def test_pooled_jobs_ship_the_pair_with_its_envelope(executor_platform):
-    # a renamed perturbed pair ships as its own type, with the envelope on
-    # the base that its X is drawn from
-    bump = model_from_config({"model.family": "perturbed", "model.base": "curved",
-                              "model.eps": "0.08", "model.name": "my-bump"})
-    assert bump.marginal is not bump
-    for model, kind in (("canonical", DensityPair), (bump, type(bump))):
-        executor_platform.shipped.clear()
-        report = rate_sweep(small_config(workers=3, model=model))
-        # one message a child, carrying the pair and one piece per n, each
-        # piece scored by every estimator
-        assert len(executor_platform.shipped) == 2
-        for message in executor_platform.shipped:
-            _, (pair, pieces) = pickle.loads(message)
-            assert type(pair) is kind
-            assert "envelope" in vars(pair.marginal)
-            assert len(pieces) == 2  # 2 n
-            assert [piece[:2] for piece in pieces] == \
-                [(("erm", "twostep:L=2.0"), n) for n in (64, 256)]
-        assert list(rates_csv_lines(report)) == \
-            list(rates_csv_lines(rate_sweep(small_config(model=model))))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("grid", [{"estimators": ()}, {"n_list": ()}])
-def test_an_empty_sweep_starts_no_process(grid, workers, forks,
-                                          executor_platform, monkeypatch):
+def test_an_empty_sweep_starts_no_process(grid, workers, forks, monkeypatch):
     cfg = ExperimentConfig(**{"model": "canonical", "estimators": ("erm",),
                               "n_list": (64,), "trials": 5, "master_seed": 1,
                               "workers": workers, **grid})
     assert rate_sweep(cfg).rows == ()
-    assert executor_platform.started == []
-    monkeypatch.setattr(harness, "sys", SimpleNamespace(platform="linux"))
+    monkeypatch.setattr(harness, "_FORK", False)
     assert rate_sweep(cfg).rows == ()
     assert forks == []
-
-
-def test_executor_shares_survive_a_spawned_interpreter():
-    # spawn, the default start method on macOS and Windows, rebuilds each
-    # share and its pair from pickled bytes in a fresh interpreter.  The
-    # sweep runs in a fresh interpreter too: spawn starts a resource tracker
-    # that lives as long as the process that started it
-    code = """if True:
-        import concurrent.futures, json, multiprocessing
-        from types import SimpleNamespace
-        from threshlab import harness
-        from threshlab.model import model_from_config
-        started = []
-        def spawning(max_workers, pool=concurrent.futures.ProcessPoolExecutor):
-            started.append(max_workers)
-            return pool(max_workers, mp_context=multiprocessing.get_context("spawn"))
-        concurrent.futures.ProcessPoolExecutor = spawning
-        harness.sys = SimpleNamespace(platform="win32")
-        bump = model_from_config({"model.family": "perturbed",
-                                  "model.base": "curved", "model.eps": "0.08",
-                                  "model.name": "my-bump"})
-        print(json.dumps([started, *(list(harness.rates_csv_lines(
-            harness.rate_sweep(harness.ExperimentConfig(
-                model=bump, estimators=("erm", "twostep:L=4", "clock"),
-                n_list=(64, 256), trials=21, master_seed=20260823,
-                workers=w)))) for w in (1, 3))]))
-    """
-    src = str(Path(harness.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    started, serial, spawned = json.loads(out)
-    assert started == [2] and len(serial) == 7
-    assert spawned == serial
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
-def test_pool_forks_its_workers_on_linux(recording_pool, forks):
-    # forked with os.fork, not left to an executor, whose default start
-    # method Python 3.14 makes forkserver
+def test_pool_forks_its_workers_on_linux(forks):
+    # each extra share is a bare os.fork, with no process pool
     rate_sweep(small_config(workers=2))
     assert len(forks) == 1
-    assert recording_pool.started == []
     assert_no_child_left()
 
 
@@ -354,7 +256,7 @@ def test_a_childs_error_reaches_the_caller_with_its_type(share_hook):
 
 
 def test_every_threshlab_error_survives_pickling():
-    # a share's error crosses to the caller pickled, forked or on the executor
+    # a forked share's error crosses to the caller pickled
     for cls in vars(errors).values():
         if not (isinstance(cls, type) and issubclass(cls, ThreshlabError)):
             continue
@@ -423,7 +325,6 @@ def test_a_share_larger_than_the_pipe_buffer_arrives_whole(tmp_path):
     assert_no_child_left()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is used on Linux only")
 def test_a_pooled_sweep_imports_no_executor_and_starts_no_thread():
     # a fresh interpreter, since this one may have imported both already
     code = """if True:

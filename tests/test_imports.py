@@ -1,8 +1,11 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and no module
+in src/ imports a process pool.
 
 A small stdlib `ast` check in place of a linter: a name bound by an import
 counts as used when it appears as a bare name anywhere in its module, or as
-a string in the module's `__all__` (a re-export).
+a string in the module's `__all__` (a re-export).  `rate_sweep` forks its
+extra shares itself, so `multiprocessing` and `concurrent` are imported
+nowhere in src/, not even inside a function.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/threshlab/*.py"), *ROOT.glob("tests/*.py")])
+POOL_PACKAGES = ("multiprocessing", "concurrent")
 
 
 def unused_imports(source: str) -> list:
@@ -51,3 +55,38 @@ def test_checker_sees_unused_and_used_names():
         "    return np.zeros(1), concurrent.futures, pi\n"
     )
     assert unused_imports(source) == [(2, "os"), (5, "tau")]
+
+
+def pool_imports(source: str) -> list:
+    """(line, module) of each import of a POOL_PACKAGES module, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.split(".")[0] in POOL_PACKAGES]
+    return sorted(found)
+
+
+def test_src_imports_no_process_pool():
+    found = {path.name: pool_imports(path.read_text())
+             for path in ROOT.glob("src/threshlab/*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_pool_checker_sees_imports_in_function_bodies():
+    source = (
+        "import os, multiprocessing.pool as mp\n"
+        "from . import concurrent\n"
+        "from .concurrent import futures\n"
+        "def f():\n"
+        "    if True:\n"
+        "        from concurrent.futures import ProcessPoolExecutor\n"
+        "    import concurrent\n"
+    )
+    assert pool_imports(source) == [(1, "multiprocessing.pool"),
+                                    (6, "concurrent.futures"), (7, "concurrent")]

@@ -1,6 +1,8 @@
 """Finite information-inequality checkers and the two-point disjunction."""
 
 import math
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -132,6 +134,18 @@ def test_disjunction_erm_small_run(cert):
     assert rep.holds
     assert min(rep.chi_mean_p, rep.chi_mean_q) < 0.95 + 3 * max(rep.stderr_p,
                                                                 rep.stderr_q)
+
+
+def test_disjunction_report_fields_have_their_declared_types(cert):
+    # exactly float, int and bool: a numpy scalar, say a mean taken from
+    # np.count_nonzero, would read np.float64(0.0) in the report's repr
+    hints = typing.get_type_hints(DisjunctionReport)
+    assert sorted(set(hints.values()), key=str) == [bool, float, int]
+    for estimator in ("erm", "clock"):
+        rep = disjunction_check(builtin_model("canonical"), cert.q, 10 ** 4,
+                                cert.beta, 0.05, estimator, trials=20,
+                                seed=SeedPolicy(314))
+        assert {f.name: type(getattr(rep, f.name)) for f in fields(rep)} == hints
 
 
 def test_disjunction_clock_small_run(cert):
