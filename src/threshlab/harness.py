@@ -3,9 +3,9 @@
 Runs (estimator, n) sweeps, aggregates quantiles of the critically scaled
 error n^(1/3)|a_hat - a(P)| and the mean of n^(2/3) times the excess risk,
 and writes CSV / JSON / SVG reports.  Trial t at sample size n reads stream
-SeedPolicy(master_seed, n * 2^64 + t) for every estimator (stream_version
-3), whichever process scores it, so the report is byte-identical for any
-worker count.
+SeedPolicy(master_seed, n * 2^64 + t) for every estimator, whichever
+process scores it, so the report is byte-identical for any worker count.
+The rule holds since stream_version 3; the current stream_version is 4.
 """
 
 from __future__ import annotations
@@ -229,7 +229,6 @@ def certificate_sweep(P: DensityPair, delta: float = 0.05,
     n0 the smallest n in the list with both flags true (None if never)."""
     phi = default_bump()
     rows = []
-    n0 = None
     for n in n_list:
         cert = build_certificate(P, phi, delta, n)
         rows.append({
@@ -245,9 +244,8 @@ def certificate_sweep(P: DensityPair, delta: float = 0.05,
             "entropy_ok": cert.entropy_ok,
             "sep_ok": cert.separation_ok,
         })
-        if n0 is None and cert.entropy_ok and cert.separation_ok:
-            n0 = n
-    return rows, n0
+    passing = [r["n"] for r in rows if r["entropy_ok"] and r["sep_ok"]]
+    return rows, min(passing, default=None)
 
 
 # --- emission -----------------------------------------------------------------

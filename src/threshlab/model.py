@@ -34,7 +34,6 @@ __all__ = [
 
 _BRACKET_GRID = 2048
 _BISECT_WIDTH = 1e-14
-_BISECT_LEVELS = 6  # bisection levels evaluated per array call of the margin
 _NONNEG_GRID = 10_001
 _NONNEG_FLOOR = -1e-12
 _ENVELOPE_GRID = 4097
@@ -189,14 +188,15 @@ def _bisect(P: DensityPair, lo: float, hi: float, mlo: float, mhi: float) -> flo
     signs, down to _BISECT_WIDTH; returns the final midpoint, or a midpoint
     where m is exactly 0.
 
-    Each round makes one array call of m, on the predicted path and on the
-    midpoint tree of the next _BISECT_LEVELS levels, and bisects as one
-    midpoint at a time would while the call holds the next midpoint.  The
-    midpoints come from the same 0.5 * (lo + hi), so the result is bitwise
-    that of sequential bisection wherever array and scalar m agree.
+    Each round makes one array call of m on the predicted path and bisects
+    as one midpoint at a time would while the call holds the next midpoint.
+    The path's first point is the next midpoint, so a round gains at least
+    one level.  The midpoints come from the same 0.5 * (lo + hi), so the
+    result is bitwise that of sequential bisection wherever array and
+    scalar m agree.
     """
     while hi - lo > _BISECT_WIDTH:
-        mids = _predicted_path(lo, hi, mlo, mhi) + _midpoint_tree(lo, hi)
+        mids = _predicted_path(lo, hi, mlo, mhi)
         known = dict(zip(mids, P.margin(np.array(mids)).tolist()))
         while hi - lo > _BISECT_WIDTH and (mid := 0.5 * (lo + hi)) in known:
             mmid = known[mid]
@@ -217,18 +217,6 @@ def _predicted_path(lo: float, hi: float, mlo: float, mhi: float) -> list:
         path.append(0.5 * (lo + hi))
         lo, hi = (path[-1], hi) if path[-1] < root else (lo, path[-1])
     return path
-
-
-def _midpoint_tree(lo: float, hi: float) -> list:
-    """The midpoints of the next _BISECT_LEVELS bisection levels of [lo, hi]
-    in heap order: entry i splits its interval, and entries 2i + 1 and
-    2i + 2 split its left and right halves."""
-    edges, levels = [lo, hi], []
-    for _ in range(_BISECT_LEVELS):
-        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-        levels += mids
-        edges = [e for pair in zip(edges, mids) for e in pair] + edges[-1:]
-    return levels
 
 
 def local_params(P: DensityPair) -> LocalParams:

@@ -114,8 +114,8 @@ class _PerturbedPair(DensityPair):
 
 def perturb(P: DensityPair, phi: CosSquaredProfile, eps: float) -> DensityPair:
     """The perturbed pair Q with f_Q^+- = (1 +- Xi rho^-+) f^+-."""
-    if eps <= 0:
-        raise EpsTooLarge("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise EpsTooLarge(f"eps must be positive and finite, got {eps}")
     a = P.threshold
     r = eps * phi.radius
     if not (0.0 < a - r and a + r < 1.0):

@@ -1,6 +1,6 @@
-"""Certificate fast paths: k-ary threshold bisection against the sequential
-solver, the secant-guided path's margin calls, jets against full
-evaluation, per-pair constants computed once, and the certificate bytes."""
+"""Certificate fast paths: the secant-guided threshold bisection against the
+sequential solver and its margin calls, jets against full evaluation,
+per-pair constants computed once, and the certificate bytes."""
 
 import inspect
 import io
@@ -71,22 +71,15 @@ def certified_qs():
                 yield (name, delta, n), certified_q(P, delta, n)
 
 
-# --- k-ary bisection against the sequential solver ----------------------------
+# --- secant-guided bisection against the sequential solver ---------------------
 
 
-@pytest.fixture(params=sorted({1, 3, model._BISECT_LEVELS}))
-def levels(request, monkeypatch):
-    """Solve every pair built in the test with this many levels per call."""
-    monkeypatch.setattr(model, "_BISECT_LEVELS", request.param)
-    return request.param
-
-
-def test_builtin_thresholds_match_sequential(levels):
+def test_builtin_thresholds_match_sequential():
     for P in builtin_models():
         assert bits(P.threshold) == bits(sequential_threshold(P)), P.name
 
 
-def test_certified_q_thresholds_match_sequential(levels):
+def test_certified_q_thresholds_match_sequential():
     for name in MODELS:
         P = builtin_model(name)
         for delta in DELTAS:
@@ -95,18 +88,18 @@ def test_certified_q_thresholds_match_sequential(levels):
                 assert bits(q.threshold) == bits(sequential_threshold(q)), (name, delta, n)
 
 
-def test_perturbed_config_threshold_matches_sequential(levels):
+def test_perturbed_config_threshold_matches_sequential():
     P = model_from_config({"model.family": "perturbed", "model.base": "tilted",
                            "model.eps": "0.04"})
     assert bits(P.threshold) == bits(sequential_threshold(P))
 
 
-def test_on_grid_crossing_takes_the_exact_path(levels):
+def test_on_grid_crossing_takes_the_exact_path():
     P = builtin_model("canonical")
     assert P.threshold == 0.5 == sequential_threshold(P)
 
 
-def test_dyadic_crossing_takes_the_exact_zero_exit(levels):
+def test_dyadic_crossing_takes_the_exact_zero_exit():
     # m = 2x - 1 - 2^-14 is exactly 0 at the fourth midpoint of the bracket
     # [1/2, 1/2 + 2^-11]; walking on past it would end a few 1e-15 away
     P = DensityPair(Affine(1.0, 0.0), Affine(-1.0, 1.0 + 2.0 ** -14), name="dyadic")
@@ -115,26 +108,10 @@ def test_dyadic_crossing_takes_the_exact_zero_exit(levels):
     assert bits(P.threshold) == bits(a) == bits(sequential_threshold(P))
 
 
-def test_midpoint_tree_is_sequential_bisection_in_heap_order(levels):
-    lo, hi = 0.25, 0.25 + 2.0 ** -11 / 3.0
-    mids = model._midpoint_tree(lo, hi)
-    assert len(mids) == 2 ** levels - 1
-
-    def expected(i, lo, hi):
-        if i >= len(mids):
-            return
-        mid = 0.5 * (lo + hi)
-        assert bits(mids[i]) == bits(mid)
-        expected(2 * i + 1, lo, mid)
-        expected(2 * i + 2, mid, hi)
-
-    expected(0, lo, hi)
-
-
 @pytest.mark.parametrize("name", MODELS)
 def test_scalar_and_array_margin_agree_inside_the_bump(name):
-    # the k-ary walk reads array values where the sequential solver read
-    # scalar ones, so their thresholds agree only as long as these do
+    # the secant-guided walk reads array values where the sequential solver
+    # read scalar ones, so their thresholds agree only as long as these do
     P = builtin_model(name)
     for delta in DELTAS:
         for n in N_LADDER:
@@ -166,27 +143,27 @@ def solve_calls(q, calls) -> tuple:
     return len(calls) - 1, a
 
 
-def kary_calls(q, calls, levels) -> int:
-    """Margin calls of the k-ary walk at `levels` levels a call: one per
-    `levels` levels of sequential bisection, whose scalar calls are one per
-    level besides the bracket grid and m(lo)."""
+def sequential_levels(q, calls) -> int:
+    """Bisection levels of the sequential solver on q: its scalar margin
+    calls, one per level, besides the bracket grid and m(lo)."""
     calls.clear()
     sequential_threshold(q)
-    return math.ceil((len(calls) - 2) / levels)
+    return len(calls) - 2
 
 
-def test_secant_path_needs_few_margin_calls(levels, margin_calls):
+def test_secant_path_needs_few_margin_calls(margin_calls):
     counts = []
     for key, q in certified_qs():
         n_calls, a = solve_calls(q, margin_calls)
         assert bits(a) == bits(q.threshold), key
-        assert n_calls <= kary_calls(q, margin_calls, levels), key
+        # no more calls than six levels a call would take
+        assert n_calls <= math.ceil(sequential_levels(q, margin_calls) / 6), key
         counts.append(n_calls)
     assert len(counts) == 45
     assert np.mean(counts) <= 3.5
 
 
-def test_wrong_predictions_keep_every_bit(levels, margin_calls, monkeypatch):
+def test_wrong_predictions_keep_every_bit(margin_calls, monkeypatch):
     path = model._predicted_path
     for key, q in certified_qs():
         a = q.threshold
@@ -199,7 +176,8 @@ def test_wrong_predictions_keep_every_bit(levels, margin_calls, monkeypatch):
         monkeypatch.setattr(model, "_predicted_path", wrong_path)
         n_calls, got = solve_calls(q, margin_calls)
         assert bits(got) == bits(a), key
-        assert n_calls <= kary_calls(q, margin_calls, levels), key
+        # a wrong path still gains its first level each call
+        assert n_calls <= sequential_levels(q, margin_calls), key
 
 
 # --- jets against full evaluation ---------------------------------------------------
@@ -224,7 +202,7 @@ def test_jet_equals_full_evaluation_bitwise():
 
 def test_certificate_grid_matches_golden_bytes():
     """The benchmark's 36 certificates (3 models x 3 deltas x n = 1e3..1e6),
-    written before the k-ary solver and the per-pair caches existed."""
+    written before the fast threshold solver and the per-pair caches existed."""
     rows = []
     for name in MODELS:
         P = builtin_model(name)

@@ -471,6 +471,17 @@ def test_certificate_sweep_reports_smallest_passing_n():
     assert lines[1].split(",")[-2:] == ["true", "true"]
 
 
+def test_certificate_sweep_reports_smallest_passing_n_in_any_order():
+    # every row passes; n0 is the smallest n, not the first in list order,
+    # and the rows keep the list's order
+    P = builtin_model("canonical")
+    n_list = (10 ** 6, 10 ** 5, 10 ** 4, 10 ** 3)
+    rows, n0 = certificate_sweep(P, 0.05, n_list=n_list)
+    assert all(r["entropy_ok"] and r["sep_ok"] for r in rows)
+    assert [r["n"] for r in rows] == list(n_list)
+    assert n0 == 10 ** 3
+
+
 # --- config file --------------------------------------------------------------------
 
 
@@ -503,6 +514,10 @@ def test_parse_config_comments_and_whitespace(tmp_path):
                  id="name-no-family"),
     pytest.param("model.family = perturbed\nmodel.eps = 0\n",
                  "eps must be positive", id="eps-zero"),
+    pytest.param("model.family = perturbed\nmodel.eps = nan\n",
+                 "eps must be positive and finite, got nan", id="eps-nan"),
+    pytest.param("model.family = perturbed\nmodel.eps = inf\n",
+                 "eps must be positive and finite, got inf", id="eps-inf"),
 ])
 def test_cli_rejects_bad_config(text, word, tmp_path, capsys):
     path = tmp_path / "exp.cfg"
