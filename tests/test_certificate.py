@@ -74,12 +74,32 @@ def certified_qs():
 # --- secant-guided bisection against the sequential solver ---------------------
 
 
-def test_builtin_thresholds_match_sequential():
+def midpoint_tree(lo: float, hi: float, levels: int) -> list:
+    """The midpoints that the next `levels` bisection levels of [lo, hi] can
+    visit, each from the same 0.5 * (lo + hi) as the solver's."""
+    if levels == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + midpoint_tree(lo, mid, levels - 1) + midpoint_tree(mid, hi, levels - 1)
+
+
+@pytest.fixture(params=[1, 3, 6])
+def levels(request, monkeypatch):
+    """Have every solve in the test evaluate the midpoint tree of this many
+    levels beside the predicted path: extra points in a call must change no
+    bit, and each call must walk every level it holds."""
+    path = model._predicted_path
+    monkeypatch.setattr(model, "_predicted_path", lambda lo, hi, mlo, mhi:
+                        path(lo, hi, mlo, mhi) + midpoint_tree(lo, hi, request.param))
+    return request.param
+
+
+def test_builtin_thresholds_match_sequential(levels):
     for P in builtin_models():
         assert bits(P.threshold) == bits(sequential_threshold(P)), P.name
 
 
-def test_certified_q_thresholds_match_sequential():
+def test_certified_q_thresholds_match_sequential(levels):
     for name in MODELS:
         P = builtin_model(name)
         for delta in DELTAS:
@@ -88,18 +108,18 @@ def test_certified_q_thresholds_match_sequential():
                 assert bits(q.threshold) == bits(sequential_threshold(q)), (name, delta, n)
 
 
-def test_perturbed_config_threshold_matches_sequential():
+def test_perturbed_config_threshold_matches_sequential(levels):
     P = model_from_config({"model.family": "perturbed", "model.base": "tilted",
                            "model.eps": "0.04"})
     assert bits(P.threshold) == bits(sequential_threshold(P))
 
 
-def test_on_grid_crossing_takes_the_exact_path():
+def test_on_grid_crossing_takes_the_exact_path(levels):
     P = builtin_model("canonical")
     assert P.threshold == 0.5 == sequential_threshold(P)
 
 
-def test_dyadic_crossing_takes_the_exact_zero_exit():
+def test_dyadic_crossing_takes_the_exact_zero_exit(levels):
     # m = 2x - 1 - 2^-14 is exactly 0 at the fourth midpoint of the bracket
     # [1/2, 1/2 + 2^-11]; walking on past it would end a few 1e-15 away
     P = DensityPair(Affine(1.0, 0.0), Affine(-1.0, 1.0 + 2.0 ** -14), name="dyadic")
@@ -151,7 +171,7 @@ def sequential_levels(q, calls) -> int:
     return len(calls) - 2
 
 
-def test_secant_path_needs_few_margin_calls(margin_calls):
+def test_secant_path_needs_few_margin_calls(levels, margin_calls):
     counts = []
     for key, q in certified_qs():
         n_calls, a = solve_calls(q, margin_calls)
@@ -163,7 +183,7 @@ def test_secant_path_needs_few_margin_calls(margin_calls):
     assert np.mean(counts) <= 3.5
 
 
-def test_wrong_predictions_keep_every_bit(margin_calls, monkeypatch):
+def test_wrong_predictions_keep_every_bit(levels, margin_calls, monkeypatch):
     path = model._predicted_path
     for key, q in certified_qs():
         a = q.threshold
@@ -176,8 +196,9 @@ def test_wrong_predictions_keep_every_bit(margin_calls, monkeypatch):
         monkeypatch.setattr(model, "_predicted_path", wrong_path)
         n_calls, got = solve_calls(q, margin_calls)
         assert bits(got) == bits(a), key
-        # a wrong path still gains its first level each call
-        assert n_calls <= sequential_levels(q, margin_calls), key
+        # a wrong path still gains its first level each call, and the
+        # tree beside it `levels` levels
+        assert n_calls <= math.ceil(sequential_levels(q, margin_calls) / levels), key
 
 
 # --- jets against full evaluation ---------------------------------------------------
