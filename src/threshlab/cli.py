@@ -166,6 +166,8 @@ def _dispatch(args, cfg) -> int:
         return 0 if rep.holds else 1
 
     # risk-curve, the last subcommand the parser accepts
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     qb = quadratic_bounds(model)
     alphas = np.linspace(0.0, 1.0, args.points)
     gap = model.threshold - alphas

@@ -57,58 +57,99 @@ def erm_threshold(sample: LabeledSample) -> ErmResult:
 # ordered as the float is and leave the top two bits clear
 _ONE_BITS = 0x3FF0_0000_0000_0000
 _TWO_BITS = 0x4000_0000_0000_0000
+_ONE_KEY = np.uint64(_ONE_BITS << 2)  # 1.0 in a sort key, labels 0
+# one step of two running sums of +-1 in one uint64, by key & 3: the key's
+# bit 1 gives the sign of the low word's step, its bit 0 the high word's
+_STEPS = np.array([(lo + (hi << 32)) % 2 ** 64 for lo in (-1, 1)
+                   for hi in (-1, 1)], dtype="<u8")
+# each word starts from 2^31, so that a sum c stays in [0, 2^32) as 2^31 + c
+_BIAS = 2 ** 31
+_START = _BIAS + (_BIAS << 32)
 
 
 def erm_block(x, y) -> tuple:
-    """erm_threshold on each row of (trials, n) arrays; returns the arrays
-    (a_hat, min_errors), one entry per row.  Every abscissa must lie in
-    [+0.0, 2): NaN, -0.0 or any other x outside raises ValueError."""
-    x = np.asarray(x, dtype=float)
+    """erm_threshold on each row of a (trials, n) array x, labelled by y of
+    the same shape or by a group of label arrays read with the one x, y of
+    shape (pairs, trials, n); returns the arrays (a_hat, min_errors), shaped
+    y.shape[:-1].  Every abscissa must lie in [+0.0, 2): NaN, -0.0 or any
+    other x outside raises ValueError."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
     rows, n = x.shape
+    if y.shape[-2:] != x.shape or y.ndim not in (2, 3):
+        raise ValueError(f"labels of shape {y.shape} for abscissae {x.shape}")
+    a_hat = np.zeros(y.shape[:-1])
+    min_errors = np.zeros(y.shape[:-1], dtype=np.int64)
     if n == 0:
-        return np.zeros(rows), np.zeros(rows, dtype=np.int64)
-    if x.size and x.view(np.uint64).max() >= _TWO_BITS:
+        return a_hat, min_errors
+    bits = x.view(np.uint64)
+    if x.size and bits.max() >= _TWO_BITS:
         raise ValueError("erm needs abscissae in [+0.0, 2)")
-    # one int64 sort of (bits << 1 | label) sorts each row by x; inside a tie
-    # the order is by label, which does not matter, because the counts below
-    # are read only where the sorted abscissa changes
-    key = x.view(np.int64) << 1
-    key |= np.asarray(y) == 1
-    key.sort(axis=1)
-    errors = np.zeros((rows, n + 1), dtype=np.int64)
-    np.cumsum(key & 1, axis=1, out=errors[:, 1:])  # plus among the first i
-    key >>= 1  # now the bits of the sorted abscissae
-    total_minus = n - errors[:, n]
-    pick = np.arange(rows)
-    i_end = np.count_nonzero(key < _ONE_BITS, axis=1)
-    plus_end = errors[pick, i_end]
-    # candidate column j: 0 -> a = 0, n -> a = 1, and 0 < j < n -> the
-    # midpoint of sorted positions j - 1 and j, a candidate where they differ.
-    # errors(a) = #{x >= a, y = -1} + #{x < a, y = +1} = 2 plus_i - i + minus
-    # with i = #{x < a} and plus_i the plus among the first i; i is j at a
-    # midpoint, so column j < n holds its errors for i = j
-    errors *= 2
-    errors[:, :n] -= np.arange(n)
-    errors += total_minus[:, None]
-    errors[:, n] = 2 * plus_end - i_end + total_minus
-    step = key[:, 1:] - key[:, :-1]
-    inner = errors[:, 1:n]
-    # the midpoint of adjacent floats can round down onto the smaller one,
-    # and then i counts from that abscissa's first tie: the errors of that
-    # column, read before any column is changed
-    r, j = np.nonzero(step == 1)
-    xs = key.view(np.float64)
-    low = 0.5 * (xs[r, j] + xs[r, j + 1]) == xs[r, j]
-    r, j = r[low], j[low]
-    first = [int(np.searchsorted(key[row], key[row, col]))
-             for row, col in zip(r.tolist(), j.tolist())]
-    inner[r, j] = errors[r, np.array(first, dtype=np.int64)]
-    inner[step == 0] = n + 1  # not a candidate
-    best = np.argmin(errors, axis=1)  # first minimum -> smallest candidate
-    a_hat = (best == n).astype(float)
-    mid = np.nonzero((best > 0) & (best < n))[0]
-    a_hat[mid] = 0.5 * (xs[mid, best[mid] - 1] + xs[mid, best[mid]])
-    return a_hat, errors[pick, best]
+    ys = y[None] if y.ndim == 2 else y
+    a_rows, error_rows = np.atleast_2d(a_hat), np.atleast_2d(min_errors)
+    pick = np.arange(rows)[:, None]
+    for g in range(0, len(ys), 2):
+        # one uint64 sort of (bits << 2 | y_g << 1 | y_g+1) sorts each row by
+        # x for two label rows; inside a tie the order is by labels, which
+        # does not matter, because the counts below are read only where the
+        # sorted abscissa changes.  Column 0 holds a key 0, which sorts
+        # first and becomes the sums' column i = 0 below
+        plus = (ys[g:g + 2] == 1).view(np.uint8)
+        low = plus[0] << np.uint8(1)
+        if len(plus) == 2:
+            low |= plus[1]
+        padded = np.empty((rows, n + 1), dtype=np.uint64)
+        padded[:, 0] = 0
+        key = padded[:, 1:]
+        np.left_shift(bits, np.uint64(2), out=key)
+        key |= low
+        padded.sort(axis=1)
+        # candidate column j: 0 -> a = 0, n -> a = 1, and 0 < j < n -> the
+        # midpoint of sorted positions j - 1 and j, a candidate where they
+        # differ.  errors(a) = #{x >= a, y = -1} + #{x < a, y = +1}
+        # = total_minus + c_i with i = #{x < a} and c_i the sum of +-1 over
+        # the first i labels; i is j at a midpoint, so column j < n holds
+        # c_j.  One cumsum gives 2^31 + c of both label rows, one a 32-bit
+        # word, for n < 2^31
+        sums = np.take(_STEPS, (padded & np.uint64(3)).view(np.int64))
+        sums[:, 0] = _START
+        np.cumsum(sums, axis=1, out=sums)
+        c = sums.view("<u4").reshape(rows, n + 1, 2)[:, :, :len(plus)]
+        # c_n = n - 2 total_minus
+        total_minus = (n + _BIAS - c[:, n].astype(np.int64)) // 2
+        # column n is read at i = #{x < 1}
+        for row in np.flatnonzero(key[:, -1] >= _ONE_KEY).tolist():
+            c[row, n] = c[row, np.searchsorted(key[row], _ONE_KEY)]
+        # sorted positions j and j + 1 that are equal or adjacent floats: a
+        # key step above 7 is a gap of 2 or more in the abscissa's bits
+        near = np.flatnonzero(key[:, 1:] - key[:, :-1] <= 7)
+        if near.size:
+            r, j = np.divmod(near, n - 1)
+            gap = (key[r, j + 1] >> np.uint64(2)) - (key[r, j] >> np.uint64(2))
+            # the midpoint of adjacent floats can round down onto the smaller
+            # one, and then i counts from that abscissa's first tie: the
+            # value of that column, read before any column is changed
+            r1, j1 = r[gap == 1], j[gap == 1]
+            lower = _xs_at(key, r1, j1)
+            down = 0.5 * (lower + _xs_at(key, r1, j1 + 1)) == lower
+            r1, j1 = r1[down], j1[down]
+            first = [np.searchsorted(key[row], key[row, col] & ~np.uint64(3))
+                     for row, col in zip(r1.tolist(), j1.tolist())]
+            c[r1, j1 + 1] = c[r1, np.array(first, dtype=np.int64)]
+            c[r[gap == 0], j[gap == 0] + 1] = _BIAS + n + 1  # not a candidate
+        best = np.argmin(c, axis=1)  # first minimum -> smallest candidate
+        a = (best == n).astype(float)
+        r, label = np.nonzero((best > 0) & (best < n))
+        a[r, label] = 0.5 * (_xs_at(key, r, best[r, label] - 1)
+                             + _xs_at(key, r, best[r, label]))
+        a_rows[g:g + 2] = a.T
+        labels = np.arange(len(plus))
+        error_rows[g:g + 2] = (total_minus + c[pick, best, labels] - _BIAS).T
+    return a_hat, min_errors
+
+
+def _xs_at(key, r, j):
+    """The abscissae of sort keys key[r, j]."""
+    return (key[r, j] >> np.uint64(2)).view(np.float64)
 
 
 _DET_FLOOR = 1e-30
@@ -185,17 +226,24 @@ def two_step(sample: LabeledSample, L: float) -> float:
 
 
 def two_step_block(x, y, L: float) -> np.ndarray:
-    """two_step on each row of (trials, n) arrays: ERM on the first halves,
-    then the refinement on the second halves, each as one block."""
-    n = np.shape(x)[1]
+    """two_step on each row of a (trials, n) array x, labelled as in
+    erm_block by y of shape (trials, n) or (pairs, trials, n): ERM on the
+    first halves, one sort for two label rows, then the refinement on the
+    second halves, one block a label array; returns a_hat, shaped
+    y.shape[:-1]."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    rows, n = x.shape
     if n < 2:
         raise SampleTooSmall(f"two_step needs n >= 2, got {n}")
     m = n // 2
-    a0 = erm_block(x[:, :m], y[:, :m])[0]
+    a0 = erm_block(x[:, :m], y[..., :m])[0]
     a0 = np.where(a0 <= 0.0, 1.0 / (2.0 * m),
                   np.where(a0 >= 1.0, 1.0 - 1.0 / (2.0 * m), a0))
-    return _refine_rows(np.asarray(x, dtype=float)[:, m:2 * m],
-                        np.asarray(y)[:, m:2 * m], a0, L)[0]
+    a_hat = np.empty_like(a0)
+    ys = y[None] if y.ndim == 2 else y
+    for out, lab, start in zip(np.atleast_2d(a_hat), ys, np.atleast_2d(a0)):
+        out[:] = _refine_rows(x[:, m:2 * m], lab[:, m:2 * m], start, L)[0]
+    return a_hat
 
 
 def clock_estimator(n: int) -> float:
@@ -209,19 +257,20 @@ def clock_estimator(n: int) -> float:
 def resolve_estimator(name: str):
     """Estimator name -> (block, L).
 
-    block maps (trials, n) arrays x, y to the array of a_hat, one per row;
-    L is the refinement width the name states, the report's L column.
-    Names: "erm" and "clock" (L None), "twostep" (runs with L = 1, L None)
-    and "twostep:L=<v>" with v a finite number > 0 (L = v); anything else
-    raises ValueError.
+    block maps x of shape (trials, n) and the labels ys of a group of pairs
+    with that x, shape (pairs, trials, n), to the array of a_hat, shape
+    (pairs, trials); L is the refinement width the name states, the
+    report's L column.  Names: "erm" and "clock" (L None), "twostep" (runs
+    with L = 1, L None) and "twostep:L=<v>" with v a finite number > 0
+    (L = v); anything else raises ValueError.
     """
     if name == "erm":
-        return (lambda x, y: erm_block(x, y)[0]), None
+        return (lambda x, ys: erm_block(x, ys)[0]), None
     if name == "clock":
-        return (lambda x, y: np.full(
-            len(x), clock_estimator(max(x.shape[1], 1)))), None
+        return (lambda x, ys: np.full(
+            np.shape(ys)[:-1], clock_estimator(max(x.shape[1], 1)))), None
     if name == "twostep":
-        return (lambda x, y: two_step_block(x, y, 1.0)), None
+        return (lambda x, ys: two_step_block(x, ys, 1.0)), None
     if not name.startswith("twostep:L="):
         raise ValueError(f"unknown estimator {name!r}; expected erm, clock, "
                          "twostep or twostep:L=<v>")
@@ -231,7 +280,7 @@ def resolve_estimator(name: str):
         L = math.nan
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"estimator {name!r}: L must be a finite number > 0")
-    return (lambda x, y: two_step_block(x, y, L)), L
+    return (lambda x, ys: two_step_block(x, ys, L)), L
 
 
 def estimator_key(name: str):
@@ -248,7 +297,8 @@ def estimate_all(pairs, estimators, n: int, master_seed: int,
     a(pairs[j]) from draw(pairs[j], n, SeedPolicy(master_seed,
     trial_indices[k])).  Trials are drawn a sub-block at a time
     (sampling.sub_blocks), each block once for all pairs with one marginal
-    (`==`), and every estimator scores each pair's labels on that draw; the
+    (`==`), and each estimator scores the labels of that whole group in one
+    call a block, so ERM sorts a block's x once for two of its pairs; the
     clock reads no sample, so a tuple of clocks draws none."""
     scorers = [resolve_estimator(name)[0] for name in estimators]
     if len(trial_indices):
@@ -266,8 +316,7 @@ def estimate_all(pairs, estimators, n: int, master_seed: int,
             # fault 1.7x as often
             x, ys = draw_block([pairs[j] for j in group], n, master_seed, block)
             stop = start + len(block)
-            for j, y in zip(group, ys):
-                for i in drawn:
-                    out[j, i, start:stop] = scorers[i](x, y)
+            for i in drawn:
+                out[group, i, start:stop] = scorers[i](x, ys)
             start = stop
     return out

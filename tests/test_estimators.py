@@ -264,7 +264,7 @@ def test_resolve_names():
 
     def one_row(name):
         block, L = resolve_estimator(name)
-        return block(s.x[None, :], s.y[None, :]).tolist(), L
+        return block(s.x[None, :], s.y[None, None, :])[0].tolist(), L
 
     assert one_row("erm") == ([erm_threshold(s).a_hat], None)
     assert one_row("twostep:L=1") == ([two_step(s, 1.0)], 1.0)

@@ -626,6 +626,16 @@ def test_cli_disjunction_matches_golden_bytes(capsys):
         (DATA / "disjunction_canonical_seed3.txt").read_text()
 
 
+def test_cli_twostep_disjunction_matches_golden_bytes(capsys):
+    # the two-step estimator on the same trials: ERM on each first half,
+    # then each pair's refinement on the second half
+    assert cli.main(["--seed", "3", "--trials", "50", "disjunction",
+                     "--model", "canonical", "--n", "10000",
+                     "--estimator", "twostep:L=4"]) == 0
+    assert capsys.readouterr().out == \
+        (DATA / "disjunction_canonical_seed3_twostep4.txt").read_text()
+
+
 def test_cli_risk_curve(capsys):
     assert cli.main(["risk-curve", "--model", "canonical",
                      "--points", "11"]) == 0
@@ -852,6 +862,16 @@ def test_cli_risk_curve_error_prints_nothing_to_stdout(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_risk_curve_rejects_fewer_than_one_point(points, capsys):
+    assert cli.main(["risk-curve", "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --points must be >= 1\n"
+    assert cli.main(["risk-curve", "--points", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0.0,")
 
 
 def test_cli_rates_zero_trials_writes_valid_json(tmp_path, capsys):

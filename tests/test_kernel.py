@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshlab import estimators, harness
 from threshlab.errors import EnvelopeViolated
@@ -313,6 +315,60 @@ def test_two_step_block_nudges_each_row():
     got = two_step_block(x, y, 1.0)
     assert bits(got) == bits([reference_two_step(x[k], y[k], 1.0)
                               for k in range(2)])
+
+
+UP = np.nextafter(1.0, 2.0)
+# ties, adjacent floats whose midpoint rounds down onto the smaller (0 and
+# the least subnormal, 0.5, 0.75, 1 and their successors) or up (UP and its
+# successor), and abscissae in [1, 2)
+SPECIAL_X = [0.0, 5e-324, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75,
+             np.nextafter(0.75, 1.0), 1.0, UP, np.nextafter(UP, 2.0), 1.5,
+             np.nextafter(2.0, 0.0)]
+
+
+@st.composite
+def paired_blocks(draw):
+    """x of shape (trials, n) and the labels of 1, 2 or 3 pairs on it."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 30)))
+    rows, pairs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_X),
+                                st.floats(0.0, 2.0, exclude_max=True)),
+                      min_size=rows * n, max_size=rows * n))
+    y = draw(st.lists(st.sampled_from([-1, 1]), min_size=pairs * rows * n,
+                      max_size=pairs * rows * n))
+    # + 0.0 turns a drawn -0.0 into +0.0
+    return (np.array(x, dtype=float).reshape(rows, n) + 0.0,
+            np.array(y, dtype=np.int8).reshape(pairs, rows, n))
+
+
+@given(paired_blocks())
+@example((np.empty((2, 0)), np.empty((3, 2, 0), dtype=np.int8)))
+@example((np.array([[0.5]]), np.array([[[1]], [[-1]]], dtype=np.int8)))
+@example((np.array([[1.0, UP], [UP, 1.0]]),
+          np.array([[[-1, 1], [1, -1]]] * 3, dtype=np.int8)))
+@example((np.array([[0.5, 0.5, 0.25, 0.75, 0.75, 0.0, 5e-324]]),
+          np.array([[[1, -1, -1, 1, -1, -1, 1]],
+                    [[-1, 1, 1, -1, 1, 1, -1]]], dtype=np.int8)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_paired_block_rows_equal_one_pair_calls(block):
+    # each pair's row of a paired call equals that pair's own call and the
+    # per-trial reference, bit for bit
+    x, ys = block
+    a_hat, errors = erm_block(x, ys)
+    assert a_hat.shape == errors.shape == ys.shape[:2]
+    for y, a_row, e_row in zip(ys, a_hat, errors):
+        own_a, own_e = erm_block(x, y)
+        assert bits(a_row) == bits(own_a) and e_row.tolist() == own_e.tolist()
+        for k in range(len(x)):
+            assert (a_row[k], e_row[k]) == reference_erm(x[k], y[k])
+    if x.shape[1] < 2:
+        return
+    steps = two_step_block(x, ys, 4.0)
+    assert steps.shape == ys.shape[:2]
+    for y, row in zip(ys, steps):
+        assert bits(row) == bits(two_step_block(x, y, 4.0))
+        assert bits(row) == bits([reference_two_step(x[k], y[k], 4.0)
+                                  for k in range(len(x))])
 
 
 def test_refine_rows_with_empty_and_single_point_windows():
