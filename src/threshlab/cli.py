@@ -1,35 +1,94 @@
-"""Command-line interface.
+"""Command-line interface, and the one owner of the config file.
 
 Subcommands: validate, sample, rates, certificate, disjunction, risk-curve.
 Global flags --seed, --trials, --out, --config apply where meaningful.
 Precedence is flag > config > built-in default: a flat `key = value`
-config file (keys `seed`, `trials`, `model.*`) supplies values that
-explicit flags override.  Exit codes: 0 ok, 1 failed verdict (`validate`
-FAIL, `disjunction` VIOLATED), 2 error, reported as `error: ...`.
+config file (keys `seed`, `trials`, `model.*`), read and turned into a
+model only here, supplies values that explicit flags override.  Exit
+codes: 0 ok, 1 failed verdict (`validate` FAIL, `disjunction` VIOLATED),
+2 error, reported as `error: ...`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ThreshlabError
+from .errors import InvalidModel, ThreshlabError
 from .harness import (
     ExperimentConfig,
     certificate_csv_lines,
     certificate_sweep,
     csv_lines,
     emit_outputs,
-    parse_config,
     rate_sweep,
 )
 from .lowerbound import disjunction_check
-from .model import resolve_model
-from .perturbation import build_certificate, default_bump
+from .model import DensityPair, builtin_model
+from .perturbation import build_certificate, default_bump, perturb
 from .risk import excess_risk, prediction_error, quadratic_bounds
 from .sampling import SeedPolicy, draw
+
+
+# every config key -> the model.family it applies to (None: every family)
+_CONFIG_KEYS = {"seed": None, "trials": None, "model.family": None,
+                "model.name": None, "model.base": "perturbed", "model.eps": "perturbed"}
+
+
+def parse_config(path) -> dict:
+    """Flat `key = value` text; '#' starts a comment; values stay strings.
+    A valueless line, a repeated or unknown key, or another family's raises."""
+    out = {}
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, _, value = (part.strip() for part in line.partition("="))
+            if not value:  # no '=', or nothing after it
+                raise ThreshlabError(f"config line without a value: {raw.rstrip()}")
+            if key in out:
+                raise ThreshlabError(f"repeated config key {key!r}")
+            out[key] = value
+    for key in out:
+        if key not in _CONFIG_KEYS:
+            raise ThreshlabError(f"unknown config key {key!r}; known keys: "
+                                 f"{', '.join(_CONFIG_KEYS)}")
+        if _CONFIG_KEYS[key] not in (None, out.get("model.family")):
+            raise ThreshlabError(f"{key} needs model.family = {_CONFIG_KEYS[key]}")
+    return out
+
+
+def model_from_config(cfg: dict) -> DensityPair:
+    """Build a model from flat `key = value` config entries.
+
+    Recognized keys: model.family (required), model.name (optional label)
+    and, for family "perturbed", model.base and model.eps.
+    """
+    family = cfg.get("model.family")
+    if family is None:
+        raise InvalidModel("config is missing model.family")
+    if family == "perturbed":
+        base = builtin_model(cfg.get("model.base", "canonical"))
+        pair = perturb(base, default_bump(), float(cfg.get("model.eps", 0.05)))
+    else:
+        pair = builtin_model(family)
+    if cfg.get("model.name"):
+        pair = replace(pair, name=cfg["model.name"])
+    return pair
+
+
+def _model(flag, cfg) -> DensityPair:
+    """The model: the built-in the flag names if given, else the one the
+    config's model.* keys build, else canonical."""
+    if flag is not None:
+        return builtin_model(flag)
+    if any(key.startswith("model.") for key in cfg):
+        return model_from_config(cfg)
+    return builtin_model("canonical")
 
 
 def _setting(flag, cfg, key, default) -> int:
@@ -112,7 +171,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, cfg) -> int:
-    model = resolve_model(args.model, cfg)
+    model = _model(args.model, cfg)
     seed = _setting(args.seed, cfg, "seed", 0)
     trials = _setting(args.trials, cfg, "trials", 200)
 

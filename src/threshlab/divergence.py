@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteEntropy, QuadratureNotConverged
-from .model import DensityPair
 
 __all__ = [
     "QuadratureSpec",
@@ -39,7 +38,7 @@ class QuadratureSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
 
 
@@ -162,9 +161,9 @@ def _sum_by_owner(count, values, errors, owners) -> tuple:
     return out_v, out_e
 
 
-def relative_entropy(P: DensityPair, Q: DensityPair,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """H(P, Q) = sum over labels of integral of f_P log(f_P / f_Q)."""
+def relative_entropy(P, Q, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """H(P, Q) = sum over labels of integral of f_P log(f_P / f_Q), for two
+    `model.DensityPair` models P and Q."""
     bps = (*P.breakpoints, *Q.breakpoints, P.threshold, Q.threshold)
     total = 0.0
     for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):

@@ -182,7 +182,7 @@ def _refine_rows(x, y, a0, L: float) -> tuple:
     returns the arrays (a_hat, window_count, fell_back).  The windows are
     packed end to end, and each window's sums are one reduceat segment, so
     a row's result does not depend on the rows beside it."""
-    if L <= 0:
+    if not L > 0:  # NaN fails too
         raise ValueError("L must be positive")
     rows, m = x.shape
     M = L * m ** (-1.0 / 3.0)

@@ -34,7 +34,6 @@ __all__ = [
     "rate_sweep",
     "certificate_sweep",
     "emit_outputs",
-    "parse_config",
 ]
 
 # os.fork is missing on Windows and unsafe on macOS
@@ -352,35 +351,3 @@ def emit_outputs(report: RateReport, out_dir, svg: bool = False) -> list:
             fh.write(text)
         paths.append(path)
     return paths
-
-
-# --- flat key = value config ---------------------------------------------------
-
-
-# every config key -> the model.family it applies to (None: every family)
-_CONFIG_KEYS = {"seed": None, "trials": None, "model.family": None,
-                "model.name": None, "model.base": "perturbed", "model.eps": "perturbed"}
-
-
-def parse_config(path) -> dict:
-    """Flat `key = value` text; '#' starts a comment; values stay strings.
-    A valueless line, a repeated or unknown key, or another family's raises."""
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
-            if not value:  # no '=', or nothing after it
-                raise ThreshlabError(f"config line without a value: {raw.rstrip()}")
-            if key in out:
-                raise ThreshlabError(f"repeated config key {key!r}")
-            out[key] = value
-    for key in out:
-        if key not in _CONFIG_KEYS:
-            raise ThreshlabError(f"unknown config key {key!r}; known keys: "
-                                 f"{', '.join(_CONFIG_KEYS)}")
-        if _CONFIG_KEYS[key] not in (None, out.get("model.family")):
-            raise ThreshlabError(f"{key} needs model.family = {_CONFIG_KEYS[key]}")
-    return out

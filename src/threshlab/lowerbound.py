@@ -45,9 +45,9 @@ class FiniteModel:
         if not (1 <= k <= 8) or len(self.q) != k:
             raise InvalidModel("p and q must have equal length in 1..8")
         for dist, label in ((self.p, "p"), (self.q, "q")):
-            if any(v < 0 for v in dist):
+            if not all(v >= 0 for v in dist):  # NaN fails each test
                 raise InvalidModel(f"{label} has a negative entry")
-            if abs(sum(dist) - 1.0) > _TOL:
+            if not abs(sum(dist) - 1.0) <= _TOL:
                 raise InvalidModel(f"{label} sums to {sum(dist)}, not 1")
         if any(pi > 0 and qi == 0 for pi, qi in zip(self.p, self.q)):
             raise InvalidModel("q vanishes where p has mass (infinite entropy)")
@@ -73,7 +73,7 @@ def lemma21_check(m: FiniteModel, x_values) -> tuple:
     x = np.asarray(x_values, dtype=float)
     if len(x) != m.outcomes:
         raise InvalidModel("x_values length must equal the outcome count")
-    if np.any(x < 0) or np.any(x > 1):
+    if not np.all((x >= 0) & (x <= 1)):
         raise InvalidModel("X must take values in [0, 1]")
     h = finite_relative_entropy(m)
     lhs = float(np.dot(m.q, x))
@@ -147,8 +147,10 @@ class GeneralLossSetup:
     def __post_init__(self):
         if len(self.loss_p) != len(self.loss_q) or len(self.loss_p) < 1:
             raise InvalidModel("loss lists must be nonempty and equal length")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise InvalidModel("gamma must be positive")
+        if not all(math.isfinite(v) for v in (*self.loss_p, *self.loss_q)):
+            raise InvalidModel("losses must be finite")
 
     def regrets(self) -> tuple:
         dp = tuple(v - min(self.loss_p) for v in self.loss_p)

@@ -8,11 +8,12 @@ family h_a(x) = +1 iff x >= a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .divergence import QuadratureSpec, adaptive_simpson
 from .errors import (
     InvalidModel,
     MultipleCrossings,
@@ -27,7 +28,6 @@ __all__ = [
     "local_params",
     "builtin_models",
     "builtin_model",
-    "model_from_config",
     "resolve_model",
     "nonneg_on_grid",
 ]
@@ -120,8 +120,6 @@ class DensityPair:
 
     def validate(self) -> dict:
         """Run every class-membership invariant; returns name -> (ok, detail)."""
-        from .divergence import QuadratureSpec, adaptive_simpson
-
         report = {}
         for label, f in (("fplus", self.fplus), ("fminus", self.fminus)):
             ok, gmin = nonneg_on_grid(f)
@@ -265,36 +263,7 @@ def builtin_models() -> list:
     return [make() for make in _FAMILIES.values()]
 
 
-def model_from_config(cfg: dict) -> DensityPair:
-    """Build a model from flat `key = value` config entries.
-
-    Recognized keys: model.family (required), model.name (optional label)
-    and, for family "perturbed", model.base and model.eps.
-    """
-    family = cfg.get("model.family")
-    if family is None:
-        raise InvalidModel("config is missing model.family")
-    if family == "perturbed":
-        from .perturbation import default_bump, perturb
-
-        base = builtin_model(cfg.get("model.base", "canonical"))
-        eps = float(cfg.get("model.eps", 0.05))
-        pair = perturb(base, default_bump(), eps)
-    else:
-        pair = builtin_model(family)
-    if cfg.get("model.name"):
-        pair = replace(pair, name=cfg["model.name"])
-    return pair
-
-
-def resolve_model(model=None, cfg=None) -> DensityPair:
-    """The one model-resolution path, in order of precedence: `model` (a
-    DensityPair, or a built-in name such as the --model flag), else the
-    config's model.* keys, else "canonical"."""
-    if isinstance(model, DensityPair):
-        return model
-    if model is not None:
-        return builtin_model(model)
-    if cfg and any(key.startswith("model.") for key in cfg):
-        return model_from_config(cfg)
-    return builtin_model("canonical")
+def resolve_model(model) -> DensityPair:
+    """The one model-resolution path: `model` if it is a DensityPair, else
+    the built-in it names."""
+    return model if isinstance(model, DensityPair) else builtin_model(model)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from threshlab import cli, model, perturbation
+from threshlab.cli import model_from_config
 from threshlab.expr import Affine, CosSquaredProfile
 from threshlab.harness import certificate_csv_lines, certificate_sweep
-from threshlab.model import DensityPair, builtin_model, builtin_models, model_from_config
+from threshlab.model import DensityPair, builtin_model, builtin_models
 from threshlab.perturbation import default_bump, estimate_c1, make_plan, perturb
 
 from test_kernel import bits as array_bits, full_eval, support_inputs

@@ -29,6 +29,8 @@ def models():
 def test_quadrature_spec_rejects_bad_tol():
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        QuadratureSpec(tol=math.nan)
 
 
 def test_adaptive_simpson_polynomial_exact():

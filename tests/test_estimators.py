@@ -1,5 +1,7 @@
 """ERM, windowed regression, the split estimator, and the clock."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,15 @@ def test_refine_rejects_bad_arguments():
         refine_local(x, y, 0.0, L=1.0)
     with pytest.raises(SampleTooSmall):
         refine_local(*arrays_of([]), 0.5, L=1.0)
+
+
+def test_refine_and_two_step_reject_nan_L():
+    # a NaN L must not fall back silently to the start
+    x, y = arrays_of([(0.3, -1), (0.7, 1)])
+    with pytest.raises(ValueError, match="L must be positive"):
+        refine_local(x, y, 0.4, math.nan)
+    with pytest.raises(ValueError, match="L must be positive"):
+        two_step(sample_of([(0.1, -1), (0.9, 1), (0.3, -1), (0.7, 1)]), math.nan)
 
 
 def test_refine_window_excludes_far_points():

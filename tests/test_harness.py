@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from threshlab import cli, errors, harness
+from threshlab.cli import model_from_config, parse_config
 from threshlab.harness import (
     CERT_HEADER,
     RATES_HEADER,
@@ -24,7 +25,6 @@ from threshlab.harness import (
     certificate_csv_lines,
     certificate_sweep,
     emit_outputs,
-    parse_config,
     rate_sweep,
     rates_csv_lines,
 )
@@ -32,7 +32,7 @@ from threshlab.errors import (InvalidModel, PremiseFails, QuadratureNotConverged
                               ThreshlabError)
 from threshlab.estimators import (erm_threshold, estimate_all,
                                   resolve_estimator, two_step)
-from threshlab.model import builtin_model, model_from_config, nonneg_on_grid
+from threshlab.model import builtin_model, nonneg_on_grid
 from threshlab.risk import excess_risk
 from threshlab.sampling import SeedPolicy, draw
 
@@ -102,7 +102,7 @@ def test_reports_are_byte_identical_when_shares_are_uneven(workers, tmp_path):
                                                       model=model)),
                               tmp_path / f"m{i}-w{w}") for w in (1, workers)]
         for serial, pooled in zip(*paths):
-            assert open(serial, "rb").read() == open(pooled, "rb").read()
+            assert Path(serial).read_bytes() == Path(pooled).read_bytes()
 
 
 @pytest.fixture(autouse=True)
@@ -321,7 +321,7 @@ def test_a_share_larger_than_the_pipe_buffer_arrives_whole(tmp_path):
     paths = [emit_outputs(rate_sweep(ExperimentConfig(**cfg, workers=w)),
                           tmp_path / f"w{w}", svg=True) for w in (1, 2)]
     for serial, pooled in zip(*paths):
-        assert open(serial, "rb").read() == open(pooled, "rb").read()
+        assert Path(serial).read_bytes() == Path(pooled).read_bytes()
     assert_no_child_left()
 
 

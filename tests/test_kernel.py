@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshlab import estimators, harness
+from threshlab.cli import model_from_config
 from threshlab.errors import EnvelopeViolated
 from threshlab.estimators import (
     clock_estimator,
@@ -36,12 +37,7 @@ from threshlab.expr import (
     Quotient,
     Sum,
 )
-from threshlab.model import (
-    DensityPair,
-    builtin_model,
-    builtin_models,
-    model_from_config,
-)
+from threshlab.model import DensityPair, builtin_model, builtin_models
 from threshlab.perturbation import build_certificate, default_bump
 from threshlab.risk import excess_risk
 from threshlab.sampling import (

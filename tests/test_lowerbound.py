@@ -54,6 +54,26 @@ def test_finite_model_rejects_absolute_continuity_failure():
         FiniteModel(p=(0.5, 0.5), q=(1.0, 0.0))
 
 
+_HALVES = FiniteModel(p=(0.5, 0.5), q=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FiniteModel(p=(math.nan, 1.0), q=(0.5, 0.5)),
+    lambda: FiniteModel(p=(0.5, 0.5), q=(0.5, math.nan)),
+    lambda: lemma21_check(_HALVES, [math.nan, 0.5]),
+    lambda: GeneralLossSetup(model=_HALVES, loss_p=(0.0, 1.0),
+                             loss_q=(1.0, 0.0), gamma=math.nan),
+    lambda: GeneralLossSetup(model=_HALVES, loss_p=(math.nan, 1.0),
+                             loss_q=(1.0, 0.0), gamma=0.5),
+    lambda: GeneralLossSetup(model=_HALVES, loss_p=(0.0, 1.0),
+                             loss_q=(math.inf, 0.0), gamma=0.5),
+], ids=["p", "q", "lemma21-x", "gamma", "loss_p", "loss_q-inf"])
+def test_finite_checkers_reject_nan(build):
+    # a NaN fails a guard written as `not ok`, where `bad` would let it by
+    with pytest.raises(InvalidModel):
+        build()
+
+
 def test_finite_model_rejects_length_mismatch_and_overflow():
     with pytest.raises(InvalidModel):
         FiniteModel(p=(1.0,), q=(0.5, 0.5))

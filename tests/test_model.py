@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from threshlab.cli import model_from_config
 from threshlab.errors import (
     InvalidModel,
     MultipleCrossings,
@@ -25,7 +26,6 @@ from threshlab.model import (
     builtin_model,
     builtin_models,
     local_params,
-    model_from_config,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
