@@ -1,7 +1,7 @@
 """Threshold estimators: ERM, windowed-regression refinement, the two-step
 sample-split combination, and the deterministic clock counterexample; plus
-the Monte Carlo trial kernel, which draws each block of trials once and
-scores on it every estimator of a rate sweep, or the disjunction's one.
+the Monte Carlo trial kernel, which draws each block of trials once for
+pairs of one marginal and scores on it every estimator asked for.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def erm_threshold(sample: LabeledSample) -> ErmResult:
     abscissae; h_a(x) = +1 iff x >= a.  Empty sample returns a_hat = 0.
     The one-row case of erm_block.
     """
-    a_hat, errors = erm_block(sample.x[None, :], sample.y[None, :])
-    return ErmResult(a_hat=float(a_hat[0]), min_errors=int(errors[0]))
+    a_hat, errors = erm_block(sample.x[None, :], sample.y[None, None, :])
+    return ErmResult(a_hat=float(a_hat[0, 0]), min_errors=int(errors[0, 0]))
 
 
 # bits of 1.0 and 2.0: on [+0.0, 2) a float's bits, read as an integer, are
@@ -67,25 +67,30 @@ _BIAS = 2 ** 31
 _START = _BIAS + (_BIAS << 32)
 
 
-def erm_block(x, y) -> tuple:
-    """erm_threshold on each row of a (trials, n) array x, labelled by y of
-    the same shape or by a group of label arrays read with the one x, y of
-    shape (pairs, trials, n); returns the arrays (a_hat, min_errors), shaped
-    y.shape[:-1].  Every abscissa must lie in [+0.0, 2): NaN, -0.0 or any
-    other x outside raises ValueError."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y)
+def _block(x, ys) -> tuple:
+    """The kernel's one shape rule: x (trials, n), as floats, and labels ys
+    (pairs, trials, n); other shapes raise ValueError."""
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys)
+    if x.ndim != 2 or ys.shape[1:] != x.shape:
+        raise ValueError(f"labels of shape {ys.shape} for abscissae of shape "
+                         f"{x.shape}, not (pairs, trials, n) for (trials, n)")
+    return x, ys
+
+
+def erm_block(x, ys) -> tuple:
+    """erm_threshold on each row of x (trials, n) under the labels of each
+    pair, ys (pairs, trials, n); returns the arrays (a_hat, min_errors), of
+    shape (pairs, trials).  Every abscissa must lie in [+0.0, 2): NaN, -0.0
+    or any other x outside raises ValueError."""
+    x, ys = _block(x, ys)
     rows, n = x.shape
-    if y.shape[-2:] != x.shape or y.ndim not in (2, 3):
-        raise ValueError(f"labels of shape {y.shape} for abscissae {x.shape}")
-    a_hat = np.zeros(y.shape[:-1])
-    min_errors = np.zeros(y.shape[:-1], dtype=np.int64)
+    a_hat = np.zeros(ys.shape[:2])
+    min_errors = np.zeros(ys.shape[:2], dtype=np.int64)
     if n == 0:
         return a_hat, min_errors
     bits = x.view(np.uint64)
     if x.size and bits.max() >= _TWO_BITS:
         raise ValueError("erm needs abscissae in [+0.0, 2)")
-    ys = y[None] if y.ndim == 2 else y
-    a_rows, error_rows = np.atleast_2d(a_hat), np.atleast_2d(min_errors)
     pick = np.arange(rows)[:, None]
     for g in range(0, len(ys), 2):
         # one uint64 sort of (bits << 2 | y_g << 1 | y_g+1) sorts each row by
@@ -141,9 +146,9 @@ def erm_block(x, y) -> tuple:
         r, label = np.nonzero((best > 0) & (best < n))
         a[r, label] = 0.5 * (_xs_at(key, r, best[r, label] - 1)
                              + _xs_at(key, r, best[r, label]))
-        a_rows[g:g + 2] = a.T
+        a_hat[g:g + 2] = a.T
         labels = np.arange(len(plus))
-        error_rows[g:g + 2] = (total_minus + c[pick, best, labels] - _BIAS).T
+        min_errors[g:g + 2] = (total_minus + c[pick, best, labels] - _BIAS).T
     return a_hat, min_errors
 
 
@@ -157,7 +162,8 @@ _DET_FLOOR = 1e-30
 
 def refine_local(x, y, a0: float, L: float) -> RefineResult:
     """Regression-line refinement of a starting threshold a0 on the sample
-    (x, y), two 1-d arrays of equal length.
+    (x, y), two 1-d arrays of equal length with y in {+1, -1}, the rule of
+    LabeledSample; other shapes or labels raise ValueError.
 
     Takes the points within the window |x - a0| <= L n^(-1/3), fits the line
     y = b1 (x - a0) + b2 by the 2x2 normal equations, and returns the
@@ -168,25 +174,24 @@ def refine_local(x, y, a0: float, L: float) -> RefineResult:
     """
     if not (0.0 < a0 < 1.0):
         raise ValueError("a0 must lie in (0, 1)")
-    x, y = np.asarray(x, dtype=float), np.asarray(y)
-    if len(x) < 1:
+    s = LabeledSample(np.asarray(x, dtype=float), np.asarray(y))
+    if len(s) < 1:
         raise SampleTooSmall("refine_local needs at least one point")
-    a_hat, count, fell_back = _refine_rows(x[None, :], y[None, :],
-                                           np.array([a0]), L)
-    return RefineResult(a_hat=float(a_hat[0]), window_count=int(count[0]),
-                        fell_back=bool(fell_back[0]))
+    return RefineResult(*(v.item() for v in _refine_rows(
+        s.x[None], s.y[None, None], np.array([[a0]]), L)))
 
 
-def _refine_rows(x, y, a0, L: float) -> tuple:
-    """refine_local on each row of (trials, n) arrays from the starts a0;
-    returns the arrays (a_hat, window_count, fell_back).  The windows are
-    packed end to end, and each window's sums are one reduceat segment, so
-    a row's result does not depend on the rows beside it."""
+def _refine_rows(x, ys, a0, L: float) -> tuple:
+    """refine_local on each row of x (trials, m) under each pair's labels ys
+    (pairs, trials, m) from the starts a0 (pairs, trials): the arrays (a_hat,
+    window_count, fell_back), shaped as a0.  Each window is one reduceat
+    segment, so a row's result does not depend on the others."""
     if not L > 0:  # NaN fails too
         raise ValueError("L must be positive")
-    rows, m = x.shape
+    m = x.shape[1]
     M = L * m ** (-1.0 / 3.0)
-    xt = x - a0[:, None]
+    xt = x - a0[..., None]
+    shape, rows, a0 = a0.shape, a0.size, a0.ravel()
     idx = np.flatnonzero(np.abs(xt) <= M)
     starts = np.searchsorted(idx, m * np.arange(rows + 1))
     k = starts[1:] - starts[:-1]
@@ -195,7 +200,7 @@ def _refine_rows(x, y, a0, L: float) -> tuple:
     xw = np.zeros(len(idx) + 1)
     np.take(xt, idx, out=xw[:-1], mode="clip")  # idx is in range
     yw = np.zeros_like(xw)
-    yw[:-1] = np.take(y, idx)
+    yw[:-1] = np.take(ys, idx)
 
     def window(ufunc, values):
         return ufunc.reduceat(values, starts)[:rows]
@@ -210,7 +215,8 @@ def _refine_rows(x, y, a0, L: float) -> tuple:
         b1 = (sxy * k - sx * sy) / det
         b2 = (sxx * sy - sx * sxy) / det
         fell_back = ~spread | (np.abs(det) < _DET_FLOOR * scale) | (b1 == 0.0)
-        return np.where(fell_back, a0, a0 - b2 / b1), k, fell_back
+        a_hat = np.where(fell_back, a0, a0 - b2 / b1)
+    return a_hat.reshape(shape), k.reshape(shape), fell_back.reshape(shape)
 
 
 def two_step(sample: LabeledSample, L: float) -> float:
@@ -222,28 +228,24 @@ def two_step(sample: LabeledSample, L: float) -> float:
     1 -> 1 - 1/(2m)); the refinement window scale is L m^(-1/3).  The
     one-row case of two_step_block.
     """
-    return float(two_step_block(sample.x[None, :], sample.y[None, :], L)[0])
+    ((a_hat,),) = two_step_block(sample.x[None], sample.y[None, None], L)
+    return float(a_hat)
 
 
-def two_step_block(x, y, L: float) -> np.ndarray:
-    """two_step on each row of a (trials, n) array x, labelled as in
-    erm_block by y of shape (trials, n) or (pairs, trials, n): ERM on the
-    first halves, one sort for two label rows, then the refinement on the
-    second halves, one block a label array; returns a_hat, shaped
-    y.shape[:-1]."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y)
-    rows, n = x.shape
+def two_step_block(x, ys, L: float) -> np.ndarray:
+    """two_step on each row of x (trials, n) under the labels of each pair,
+    ys (pairs, trials, n), as erm_block takes them: ERM on the first halves,
+    one sort for two pairs, then one refinement of the second halves of
+    every pair's rows; returns a_hat, of shape (pairs, trials)."""
+    x, ys = _block(x, ys)
+    n = x.shape[1]
     if n < 2:
         raise SampleTooSmall(f"two_step needs n >= 2, got {n}")
     m = n // 2
-    a0 = erm_block(x[:, :m], y[..., :m])[0]
+    a0 = erm_block(x[:, :m], ys[..., :m])[0]
     a0 = np.where(a0 <= 0.0, 1.0 / (2.0 * m),
                   np.where(a0 >= 1.0, 1.0 - 1.0 / (2.0 * m), a0))
-    a_hat = np.empty_like(a0)
-    ys = y[None] if y.ndim == 2 else y
-    for out, lab, start in zip(np.atleast_2d(a_hat), ys, np.atleast_2d(a0)):
-        out[:] = _refine_rows(x[:, m:2 * m], lab[:, m:2 * m], start, L)[0]
-    return a_hat
+    return _refine_rows(x[:, m:2 * m], ys[..., m:2 * m], a0, L)[0]
 
 
 def clock_estimator(n: int) -> float:
@@ -257,9 +259,9 @@ def clock_estimator(n: int) -> float:
 def resolve_estimator(name: str):
     """Estimator name -> (block, L).
 
-    block maps x of shape (trials, n) and the labels ys of a group of pairs
-    with that x, shape (pairs, trials, n), to the array of a_hat, shape
-    (pairs, trials); L is the refinement width the name states, the
+    block maps x (trials, n) and the labels ys (pairs, trials, n) of the
+    pairs drawn with it to a_hat (pairs, trials); the clock reads no sample
+    and has no block (None).  L is the refinement width the name states, the
     report's L column.  Names: "erm" and "clock" (L None), "twostep" (runs
     with L = 1, L None) and "twostep:L=<v>" with v a finite number > 0
     (L = v); anything else raises ValueError.
@@ -267,8 +269,7 @@ def resolve_estimator(name: str):
     if name == "erm":
         return (lambda x, ys: erm_block(x, ys)[0]), None
     if name == "clock":
-        return (lambda x, ys: np.full(
-            np.shape(ys)[:-1], clock_estimator(max(x.shape[1], 1)))), None
+        return None, None
     if name == "twostep":
         return (lambda x, ys: two_step_block(x, ys, 1.0)), None
     if not name.startswith("twostep:L="):
@@ -295,28 +296,26 @@ def estimate_all(pairs, estimators, n: int, master_seed: int,
                  trial_indices) -> np.ndarray:
     """The trial kernel: entry (j, i, k) is estimators[i]'s estimate of
     a(pairs[j]) from draw(pairs[j], n, SeedPolicy(master_seed,
-    trial_indices[k])).  Trials are drawn a sub-block at a time
-    (sampling.sub_blocks), each block once for all pairs with one marginal
-    (`==`), and each estimator scores the labels of that whole group in one
-    call a block, so ERM sorts a block's x once for two of its pairs; the
-    clock reads no sample, so a tuple of clocks draws none."""
+    trial_indices[k]), for pairs of one marginal (`==`), draw_block's rule.
+    Trials are drawn a sub-block at a time (sampling.sub_blocks), each once
+    for all pairs, and each estimator's block scores every pair's labels in
+    one call, so ERM sorts a block's x once for two pairs; the clock has no
+    block and reads no sample, so a tuple of clocks draws none."""
     scorers = [resolve_estimator(name)[0] for name in estimators]
     if len(trial_indices):
         SeedPolicy(master_seed, min(trial_indices))  # the clock's seeds too
     out = np.full((len(pairs), len(scorers), len(trial_indices)),
                   clock_estimator(max(n, 1)))
-    drawn = [i for i, name in enumerate(estimators) if name != "clock"]
-    groups = {}  # marginal -> the indices of its pairs
-    for j, pair in enumerate(pairs):
-        groups.setdefault(pair.marginal, []).append(j)
-    for M, group in groups.items() if drawn else ():
-        start = 0
-        for block in sub_blocks(trial_indices, n, M.envelope):
-            # x, ys outlive the next draw; a del here made rate sweeps
-            # fault 1.7x as often
-            x, ys = draw_block([pairs[j] for j in group], n, master_seed, block)
-            stop = start + len(block)
-            for i in drawn:
-                out[group, i, start:stop] = scorers[i](x, ys)
-            start = stop
+    drawn = [i for i, scorer in enumerate(scorers) if scorer is not None]
+    if not (drawn and len(pairs)):
+        return out
+    start = 0
+    for block in sub_blocks(trial_indices, n, pairs[0].marginal.envelope):
+        # x, ys outlive the next draw; a del here made rate sweeps fault
+        # 1.7x as often
+        x, ys = draw_block(pairs, n, master_seed, block)
+        stop = start + len(block)
+        for i in drawn:
+            out[:, i, start:stop] = scorers[i](x, ys)
+        start = stop
     return out

@@ -98,7 +98,8 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     and beta |a(P) - a(Q)| > 4 (perturbation.two_point_premises), at least
     one chi-mean must fall below 1 - delta.  Monte Carlo estimates both means
     and asserts the conclusion up to 3 binomial standard errors.  Trial t
-    reads stream seed.trial_index + t under both P and Q.
+    reads stream seed.trial_index + t under both P and Q, drawn once for both
+    if they share a marginal (`==`), as perturb's Q does, else P's first.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -109,11 +110,10 @@ def disjunction_check(P: DensityPair, Q: DensityPair, n: int, beta: float,
     if not separation_ok:
         raise PremiseFails("separation",
                            f"beta|a(P)-a(Q)|={separation:.4g} <= 4")
-    # both pairs score trial t on stream seed.trial_index + t; perturb keeps
-    # the X-marginal, so each block's x and label uniforms are drawn once
-    first = seed.trial_index
-    a_hats = estimate_all((P, Q), (estimator,), n, seed.master_seed,
-                          range(first, first + trials))[:, 0]
+    run = range(seed.trial_index, seed.trial_index + trials)
+    groups = [(P, Q)] if P.marginal == Q.marginal else [(P,), (Q,)]
+    a_hats = np.concatenate([estimate_all(g, (estimator,), n, seed.master_seed,
+                                          run)[:, 0] for g in groups])
     means, errs = [], []
     for pair, row in zip((P, Q), a_hats):
         # chi is the indicator of the closed window [-1, 1]

@@ -105,10 +105,19 @@ def _trial_generators(master_seed: int, trials) -> list:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered sample of (x, y) pairs; x in [0, 1], y in {+1, -1}."""
+    """An ordered sample of (x, y) pairs; x in [0, 1], y in {+1, -1}.  x and
+    y are 1-d and of one length; other shapes or labels raise ValueError."""
 
     x: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.x) != 1 or np.shape(self.y) != np.shape(self.x):
+            raise ValueError(f"a sample needs 1-d x and y of one length, got "
+                             f"x of shape {np.shape(self.x)} and y of shape "
+                             f"{np.shape(self.y)}")
+        if not np.all((self.y == 1) | (self.y == -1)):
+            raise ValueError("a sample's labels must be +1 or -1")
 
     def __len__(self) -> int:
         return len(self.x)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshlab import estimators
 from threshlab.errors import SampleTooSmall
 from threshlab.estimators import (
     clock_estimator,
@@ -162,11 +163,17 @@ def test_refine_normal_equation_residual():
 
 
 def test_refine_exact_on_linear_data():
+    # labels on a line are no sample's labels, so refine_local rejects them;
+    # the regression under it finds the line's zero
     a0 = 0.4
     c1, c2 = 3.0, -0.45
     xs = np.linspace(a0 - 0.2, a0 + 0.2, 9)
-    r = refine_local(xs, c1 * (xs - a0) + c2, a0, L=1.0)
-    assert r.a_hat == pytest.approx(a0 - c2 / c1, abs=1e-10)
+    ys = c1 * (xs - a0) + c2
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        refine_local(xs, ys, a0, L=1.0)
+    a_hat = estimators._refine_rows(xs[None], ys[None, None],
+                                    np.array([[a0]]), 1.0)[0]
+    assert a_hat[0, 0] == pytest.approx(a0 - c2 / c1, abs=1e-10)
 
 
 def test_refine_rejects_bad_arguments():
@@ -177,6 +184,22 @@ def test_refine_rejects_bad_arguments():
         refine_local(x, y, 0.0, L=1.0)
     with pytest.raises(SampleTooSmall):
         refine_local(*arrays_of([]), 0.5, L=1.0)
+
+
+def test_refine_rejects_labels_of_another_length():
+    # longer labels gave a_hat = 0.3 silently, shorter an IndexError
+    x = np.array([0.1, 0.5])
+    for y in (np.array([1, -1, 1]), np.array([1])):
+        with pytest.raises(ValueError, match=rf"x of shape \(2,\) and y of "
+                           rf"shape \({len(y)},\)"):
+            refine_local(x, y, 0.5, 1)
+
+
+def test_refine_rejects_labels_outside_plus_minus_one():
+    # 0/1 labels gave a_hat = 0.0137
+    s = draw(builtin_model("canonical"), 4000, SeedPolicy(1))
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        refine_local(s.x, (s.y + 1) // 2, 0.5, 1)
 
 
 def test_refine_and_two_step_reject_nan_L():
@@ -280,7 +303,7 @@ def test_resolve_names():
     assert one_row("erm") == ([erm_threshold(s).a_hat], None)
     assert one_row("twostep:L=1") == ([two_step(s, 1.0)], 1.0)
     assert one_row("twostep") == ([two_step(s, 1.0)], None)
-    assert one_row("clock") == ([clock_estimator(4)], None)
+    assert resolve_estimator("clock") == (None, None)
     assert resolve_estimator("twostep:L=2.5")[1] == 2.5
     with pytest.raises(ValueError):
         resolve_estimator("nearest-neighbor")

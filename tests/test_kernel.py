@@ -11,6 +11,7 @@ on every point, so it does not rest on the support-aware Sum it checks.
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,13 +282,13 @@ def test_erm_block_equals_reference_with_ties():
                      [0.0, 0.5, 1.0, 1.5, np.nextafter(2.0, 0.0)]):
             x = rng.choice(grid, size=(200, n))
             y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, n))
-            a_hat, errors = erm_block(x, y)
+            (a_hat,), (errors,) = erm_block(x, y[None])
             for k in range(len(x)):
                 assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
 
 
 def test_erm_block_rejects_abscissae_outside_zero_two():
-    y = np.array([[1, -1, 1]], dtype=np.int8)
+    y = np.array([[[1, -1, 1]]], dtype=np.int8)
     for bad in (np.nan, -np.nan, -0.0, -1e-300, 2.0, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"\[\+0\.0, 2\)"):
             erm_block(np.array([[0.25, bad, 0.75]]), y)
@@ -299,7 +300,7 @@ def test_erm_block_midpoint_rounding_onto_smaller_abscissa():
     up = np.nextafter(1.0, 2.0)
     x = np.array([[0.5, 1.0, 1.0, up, 0.25], [1.0, up, 0.5, 0.5, 0.75]])
     y = np.array([[-1, -1, -1, 1, -1], [1, 1, -1, 1, -1]], dtype=np.int8)
-    a_hat, errors = erm_block(x, y)
+    (a_hat,), (errors,) = erm_block(x, y[None])
     assert (a_hat[0], errors[0]) == (0.75, 2)
     for k in range(len(x)):
         assert (a_hat[k], errors[k]) == reference_erm(x[k], y[k])
@@ -308,9 +309,23 @@ def test_erm_block_midpoint_rounding_onto_smaller_abscissa():
 def test_two_step_block_nudges_each_row():
     x = np.array([[0.2, 0.8, 0.3, 0.7], [0.1, 0.9, 0.3, 0.7]])
     y = np.array([[1, 1, -1, 1], [-1, 1, -1, 1]], dtype=np.int8)
-    got = two_step_block(x, y, 1.0)
+    (got,) = two_step_block(x, y[None], 1.0)
     assert bits(got) == bits([reference_two_step(x[k], y[k], 1.0)
                               for k in range(2)])
+
+
+def test_blocks_reject_labels_of_another_shape():
+    # two_step_block raised IndexError on short labels and ignored extra
+    # ones; each block takes labels of shape (pairs, trials, n) alone
+    x = np.array([[0.2, 0.8, 0.3, 0.7], [0.1, 0.9, 0.3, 0.7]])
+    for shape in ((1, 2, 3), (1, 2, 5), (2, 4), (1, 1, 4), (1, 2, 2, 4)):
+        ys = np.ones(shape, dtype=np.int8)
+        named = re.escape(f"labels of shape {shape} for abscissae of shape "
+                          "(2, 4)")
+        with pytest.raises(ValueError, match=named):
+            two_step_block(x, ys, 1.0)
+        with pytest.raises(ValueError, match=named):
+            erm_block(x, ys)
 
 
 UP = np.nextafter(1.0, 2.0)
@@ -352,8 +367,8 @@ def test_paired_block_rows_equal_one_pair_calls(block):
     x, ys = block
     a_hat, errors = erm_block(x, ys)
     assert a_hat.shape == errors.shape == ys.shape[:2]
-    for y, a_row, e_row in zip(ys, a_hat, errors):
-        own_a, own_e = erm_block(x, y)
+    for j, (y, a_row, e_row) in enumerate(zip(ys, a_hat, errors)):
+        (own_a,), (own_e,) = erm_block(x, ys[j:j + 1])
         assert bits(a_row) == bits(own_a) and e_row.tolist() == own_e.tolist()
         for k in range(len(x)):
             assert (a_row[k], e_row[k]) == reference_erm(x[k], y[k])
@@ -361,8 +376,8 @@ def test_paired_block_rows_equal_one_pair_calls(block):
         return
     steps = two_step_block(x, ys, 4.0)
     assert steps.shape == ys.shape[:2]
-    for y, row in zip(ys, steps):
-        assert bits(row) == bits(two_step_block(x, y, 4.0))
+    for j, (y, row) in enumerate(zip(ys, steps)):
+        assert bits(row) == bits(two_step_block(x, ys[j:j + 1], 4.0)[0])
         assert bits(row) == bits([reference_two_step(x[k], y[k], 4.0)
                                   for k in range(len(x))])
 
@@ -379,8 +394,9 @@ def test_refine_rows_with_empty_and_single_point_windows():
     x[5, :] = rng.uniform(0.4, 0.6, m)
     y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(7, m))
     y[5, :5] = 1
-    starts = np.full(7, a0)
-    a_hat, count, fell_back = estimators._refine_rows(x, y, starts, L)
+    starts = np.full((1, 7), a0)
+    (a_hat,), (count,), (fell_back,) = estimators._refine_rows(x, y[None],
+                                                               starts, L)
     assert count.tolist()[:5] == [0, 2, 1, 3, 0] and count[6] == 0
     assert fell_back.tolist()[:3] == [True, True, True]
     assert bits(a_hat) == bits([reference_refine(x[k], y[k], a0, L)

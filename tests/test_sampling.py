@@ -5,7 +5,13 @@ import pytest
 
 from threshlab.model import builtin_model, builtin_models
 from threshlab.perturbation import build_certificate, default_bump
-from threshlab.sampling import SeedPolicy, _trial_generators, cdf_sigma, draw
+from threshlab.sampling import (
+    LabeledSample,
+    SeedPolicy,
+    _trial_generators,
+    cdf_sigma,
+    draw,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,25 @@ def test_draw_shapes_and_ranges(models):
     assert len(s) == 500
     assert np.all((s.x >= 0) & (s.x <= 1))
     assert set(np.unique(s.y)) <= {-1, 1}
+
+
+def test_labeled_sample_rejects_other_shapes(models):
+    s = draw(models["canonical"], 4, SeedPolicy(1))
+    for x, y in ((s.x, s.y[:3]), (s.x[:3], s.y),
+                 (s.x.reshape(2, 2), s.y.reshape(2, 2)),
+                 (s.x, s.y.reshape(1, 4))):
+        with pytest.raises(ValueError, match=rf"x of shape \({len(x)},.*"
+                           rf"y of shape \({len(y)},"):
+            LabeledSample(x, y)
+
+
+def test_labeled_sample_rejects_labels_outside_plus_minus_one(models):
+    # on 0/1 labels two_step(s, 4.0) gave 0.0208, against 0.5203 on +-1
+    s = draw(models["canonical"], 4000, SeedPolicy(1))
+    for y in ((s.y + 1) // 2, s.y * 2, np.where(s.y == 1, 1.0, np.nan)):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            LabeledSample(s.x, y)
+    LabeledSample(s.x, s.y.astype(float))  # +-1 in any dtype
 
 
 def test_canonical_labels_balanced(models):
