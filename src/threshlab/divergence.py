@@ -5,7 +5,9 @@ estimate.  Integrands take a float64 array and return an array of the same
 shape; each refinement level evaluates the integrand once, on the new points
 of every panel still open.  The crossing point of each pair and any recorded
 breakpoints (bump support edges) are inserted as mandatory panel boundaries,
-because the integrand's derivative jumps there.
+because the integrand's derivative jumps there.  `relative_entropy`
+integrates the sum of both labels' terms in one pass, so each refinement
+level evaluates the four densities once on one set of points.
 """
 
 from __future__ import annotations
@@ -162,26 +164,35 @@ def _sum_by_owner(count, values, errors, owners) -> tuple:
 
 
 def relative_entropy(P, Q, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """H(P, Q) = sum over labels of integral of f_P log(f_P / f_Q), for two
-    `model.DensityPair` models P and Q."""
+    """H(P, Q) = integral over [0, 1] of the sum over labels y of
+    f_P^y log(f_P^y / f_Q^y), for two `model.DensityPair` models P and Q.
+
+    One adaptive_simpson pass integrates the summed integrand, with both
+    pairs' breakpoints and both thresholds as panel boundaries.  Each
+    label's term is 0 where its f_P^y <= _P_FLOOR (0 log 0 := 0) or where
+    its f_Q^y < _P_FLOOR and f_P^y <= _P_MASS; InfiniteEntropy is raised
+    where f_Q^y < _P_FLOOR and f_P^y > _P_MASS.
+    """
     bps = (*P.breakpoints, *Q.breakpoints, P.threshold, Q.threshold)
-    total = 0.0
-    for fP, fQ in ((P.fplus, Q.fplus), (P.fminus, Q.fminus)):
-        def integrand(x, fP=fP, fQ=fQ):
-            p, q = fP.val(x), fQ.val(x)
-            live = p > _P_FLOOR  # 0 log 0 := 0 elsewhere
-            dead = live & (q < _P_FLOOR)
+
+    def integrand(x):
+        # row 0 is the label +1, row 1 the label -1
+        p = np.stack((P.fplus.val(x), P.fminus.val(x)))
+        q = np.stack((Q.fplus.val(x), Q.fminus.val(x)))
+        live = p > _P_FLOOR
+        dead = live & (q < _P_FLOOR)
+        ok = live & ~dead
+        if ok.all():
+            terms = p * np.log(p / q)
+        else:
             infinite = dead & (p > _P_MASS)
             if infinite.any():
-                i = int(np.argmax(infinite))
+                label, i = np.unravel_index(np.argmax(infinite), p.shape)
                 raise InfiniteEntropy(
-                    f"f_Q vanishes at x={x[i]} while f_P={p[i]:.3e}"
+                    f"f_Q vanishes at x={x[i]} while f_P={p[label, i]:.3e}"
                 )
-            ok = live & ~dead
-            out = np.zeros_like(p)
-            out[ok] = p[ok] * np.log(p[ok] / q[ok])
-            return out
+            terms = np.zeros_like(p)
+            terms[ok] = p[ok] * np.log(p[ok] / q[ok])
+        return terms[0] + terms[1]
 
-        val, _ = adaptive_simpson(integrand, 0.0, 1.0, spec, bps)
-        total += val
-    return total
+    return adaptive_simpson(integrand, 0.0, 1.0, spec, bps)[0]

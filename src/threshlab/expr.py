@@ -53,6 +53,12 @@ _UNBOUNDED = (-math.inf, math.inf)
 _SUPPORT_PAD_ULPS = 4
 
 
+def _require_positive_finite(name: str, value) -> None:
+    """Raise ValueError naming `name` unless 0 < value < inf (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class Field:
     """A C^1 scalar field: subclasses define val, and der (a leaf) or jet."""
 
@@ -107,7 +113,7 @@ class Const(Field):
     c: float
 
     def val(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
+        return np.full(np.shape(x), self.c)
 
     def der(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -152,7 +158,7 @@ class Sum(Field):
         for t in self.terms:
             lo, hi = t.support
             if x.ndim == 0 or (lo, hi) == _UNBOUNDED:
-                out = out + t.val(x)
+                out += t.val(x)
             else:
                 inside = np.nonzero((x >= lo) & (x <= hi))
                 out[inside] += t.val(x[inside])
@@ -185,6 +191,10 @@ class Product(Field):
         return max(llo, rlo), min(lhi, rhi)
 
     def val(self, x):
+        # a Const factor multiplies as its float c: the same bits, one
+        # array fewer (every f - g is Product(Const(-1), g))
+        if isinstance(self.left, Const):
+            return self.left.c * self.right.val(x)
         return self.left.val(x) * self.right.val(x)
 
     def jet(self, x):
@@ -219,6 +229,9 @@ class CosSquaredProfile(Field):
 
     radius: float = 1.0
 
+    def __post_init__(self):
+        _require_positive_finite("radius", self.radius)
+
     @cached_property
     def support(self) -> tuple:
         return -self.radius, self.radius
@@ -231,6 +244,10 @@ class CosSquaredProfile(Field):
     def val(self, x):
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) <= self.radius
+        # a Sum evaluates a bump term on its support alone, so this mostly
+        # holds; then the masks change nothing
+        if inside.all():
+            return np.cos(np.pi * (x / self.radius) / 2.0) ** 2
         u = np.where(inside, x / self.radius, 0.0)
         return np.where(inside, np.cos(np.pi * u / 2.0) ** 2, 0.0)
 
@@ -249,6 +266,9 @@ class BumpComposite(Field):
     profile: Field
     center: float
     eps: float
+
+    def __post_init__(self):
+        _require_positive_finite("eps", self.eps)
 
     @cached_property
     def support(self) -> tuple:

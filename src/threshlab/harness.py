@@ -43,6 +43,12 @@ RATES_HEADER = "model,estimator,L,n,trials,q50,q90,q95,mean_excess_scaled,seed"
 CERT_HEADER = "model,delta,n,eps,c1,beta,nH,budget,sep,entropy_ok,sep_ok"
 
 
+def _no_repeats(what: str, items) -> None:
+    """Raise ValueError `repeated <what> <item>` if an item occurs twice."""
+    if len(set(items)) < len(items):
+        raise ValueError(f"repeated {what} {max(items, key=items.count)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str | DensityPair  # a built-in name or a pair; see resolve_model
@@ -59,9 +65,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        for what, items in (("estimator", self.estimators), ("n", self.n_list)):
-            if len(set(items)) < len(items):
-                raise ValueError(f"repeated {what} {max(items, key=items.count)}")
+        _no_repeats("estimator", self.estimators)
+        _no_repeats("n", self.n_list)
         SeedPolicy(self.master_seed)  # the range rule of every stream
         # estimator names must resolve now, not at trial time, and no two
         # may run one estimator (twostep is twostep:L=1)
@@ -225,7 +230,9 @@ def _aggregate(cfg: ExperimentConfig, model_name: str, est_name: str, n: int,
 def certificate_sweep(P: DensityPair, delta: float = 0.05,
                       n_list=(10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)):
     """One certificate row per n under the default bump; returns (rows, n0),
-    n0 the smallest n in the list with both flags true (None if never)."""
+    n0 the smallest n in the list with both flags true (None if never).
+    A repeated n raises ValueError, as in a rate sweep."""
+    _no_repeats("n", n_list)
     phi = default_bump()
     rows = []
     for n in n_list:

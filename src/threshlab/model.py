@@ -8,6 +8,7 @@ family h_a(x) = +1 iff x >= a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +39,17 @@ _NONNEG_GRID = 10_001
 _NONNEG_FLOOR = -1e-12
 _ENVELOPE_GRID = 4097
 _ENVELOPE_FACTOR = 1.01
+
+
+def _grid(points: int) -> np.ndarray:
+    """np.linspace(0, 1, points), read-only, so that one copy is shared."""
+    x = np.linspace(0.0, 1.0, points)
+    x.flags.writeable = False
+    return x
+
+
+_BRACKET_X = _grid(_BRACKET_GRID + 1)
+_NONNEG_X = _grid(_NONNEG_GRID)
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class DensityPair:
 
     @cached_property
     def _sup_density(self) -> float:
-        x = np.linspace(0.0, 1.0, _NONNEG_GRID)
+        x = _NONNEG_X
         return max(_padded_sup(v, np.abs(d), x[1] - x[0])
                    for v, d in (f.jet(x) for f in (self.fplus, self.fminus)))
 
@@ -144,7 +156,7 @@ class DensityPair:
 def nonneg_on_grid(f: Field) -> tuple:
     """(ok, gmin): f's minimum on a 10001-point grid of [0, 1] and whether
     it is >= -1e-12, the sub-density rule of `validate` and `perturb`."""
-    gmin = float(np.min(f.val(np.linspace(0.0, 1.0, _NONNEG_GRID))))
+    gmin = float(np.min(f.val(_NONNEG_X)))
     return gmin >= _NONNEG_FLOOR, gmin
 
 
@@ -157,7 +169,7 @@ def _padded_sup(values, abs_der, h) -> float:
 
 def _solve_threshold(P: DensityPair) -> float:
     """Bracket the sign change of m on a 2048-point grid, then bisect."""
-    x = np.linspace(0.0, 1.0, _BRACKET_GRID + 1)
+    x = _BRACKET_X
     m = P.margin(x)
     sign = np.sign(m)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -173,7 +185,9 @@ def _solve_threshold(P: DensityPair) -> float:
         a = float(x[exact[0] + 1])
     else:
         k = flips[0]
-        a = _bisect(P, float(x[k]), float(x[k + 1]), float(m[k]), float(m[k + 1]))
+        j = k - 1 if k > 0 else k + 2  # a grid neighbour of the bracket
+        a = _bisect(P, float(x[k]), float(x[k + 1]), float(m[k]), float(m[k + 1]),
+                    (float(x[j]), float(m[j])))
     if float(P.margin_der(a)) <= 0.0:
         raise NotTransversal(f"{P.name}: m'({a}) <= 0 at the crossing")
     if not (0.0 < a < 1.0):
@@ -181,7 +195,8 @@ def _solve_threshold(P: DensityPair) -> float:
     return a
 
 
-def _bisect(P: DensityPair, lo: float, hi: float, mlo: float, mhi: float) -> float:
+def _bisect(P: DensityPair, lo: float, hi: float, mlo: float, mhi: float,
+            third: tuple) -> float:
     """Bisect m on [lo, hi], where m(lo) = mlo and m(hi) = mhi have opposite
     signs, down to _BISECT_WIDTH; returns the final midpoint, or a midpoint
     where m is exactly 0.
@@ -189,28 +204,43 @@ def _bisect(P: DensityPair, lo: float, hi: float, mlo: float, mhi: float) -> flo
     Each round makes one array call of m on the predicted path and bisects
     as one midpoint at a time would while the call holds the next midpoint.
     The path's first point is the next midpoint, so a round gains at least
-    one level.  The midpoints come from the same 0.5 * (lo + hi), so the
-    result is bitwise that of sequential bisection wherever array and
-    scalar m agree.
+    one level.  The path aims at the root of the inverse quadratic through
+    the bracket ends and `third`, a point (x, m(x)) outside the bracket: in
+    round 1 a neighbouring point of the bracket grid, after that the last
+    end that bisection discarded.  The midpoints come from the same
+    0.5 * (lo + hi), so the result is bitwise that of sequential bisection
+    wherever array and scalar m agree.
     """
     while hi - lo > _BISECT_WIDTH:
-        mids = _predicted_path(lo, hi, mlo, mhi)
+        mids = _predicted_path(lo, hi, mlo, mhi, *third)
         known = dict(zip(mids, P.margin(np.array(mids)).tolist()))
         while hi - lo > _BISECT_WIDTH and (mid := 0.5 * (lo + hi)) in known:
             mmid = known[mid]
             if mmid == 0.0:
                 return mid
             if (mmid > 0) == (mlo > 0):
-                lo, mlo = mid, mmid
+                third, lo, mlo = (lo, mlo), mid, mmid
             else:
-                hi, mhi = mid, mmid
+                third, hi, mhi = (hi, mhi), mid, mmid
     return 0.5 * (lo + hi)
 
 
-def _predicted_path(lo: float, hi: float, mlo: float, mhi: float) -> list:
+def _predicted_path(lo: float, hi: float, mlo: float, mhi: float,
+                    xc: float, mc: float) -> list:
     """The predicted path: the midpoints that bisecting [lo, hi] down to
-    _BISECT_WIDTH visits if m is the secant through (lo, mlo), (hi, mhi)."""
-    root, path = lo - mlo * (hi - lo) / (mhi - mlo), []
+    _BISECT_WIDTH visits if m's root is that of the inverse quadratic
+    interpolation through (lo, mlo), (hi, mhi) and (xc, mc).  Where two of
+    the margins are equal, or that root is not inside (lo, hi), the root is
+    the secant's through (lo, mlo) and (hi, mhi)."""
+    root = math.nan
+    d_lo, d_hi, d_c = ((mlo - mhi) * (mlo - mc), (mhi - mlo) * (mhi - mc),
+                       (mc - mlo) * (mc - mhi))
+    if d_lo and d_hi and d_c:  # 0 where two margins are equal, or on underflow
+        root = (lo * mhi * mc / d_lo + hi * mlo * mc / d_hi
+                + xc * mlo * mhi / d_c)
+    if not lo < root < hi:
+        root = lo - mlo * (hi - lo) / (mhi - mlo)
+    path = []
     while hi - lo > _BISECT_WIDTH:
         path.append(0.5 * (lo + hi))
         lo, hi = (path[-1], hi) if path[-1] < root else (lo, path[-1])

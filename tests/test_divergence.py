@@ -1,7 +1,10 @@
-"""Quadrature and relative entropy against analytic and Riemann oracles."""
+"""Quadrature and relative entropy against analytic, Riemann and mpmath
+oracles."""
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from threshlab.divergence import (
 )
 from threshlab.errors import InfiniteEntropy, QuadratureNotConverged
 from threshlab.expr import Affine, BumpComposite, CosSquaredProfile
-from threshlab.model import DensityPair, builtin_models
-from threshlab.perturbation import build_certificate, default_bump, perturb
+from threshlab.model import DensityPair, builtin_model, builtin_models
+from threshlab.perturbation import build_certificate, default_bump, make_plan, perturb
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +284,23 @@ def test_entropy_perturbed_matches_leading_order(models):
                                                / np.maximum(qq, 1e-300)), 0.0)
         oracle += np.trapezoid(integ, x)
     assert h == pytest.approx(oracle, abs=1e-8)
+
+
+def test_entropy_matches_the_mpmath_oracle_on_the_certificate_grid():
+    """The 36 certificates of the benchmark grid against
+    data/entropy_reference.csv: mpmath.quad at 40 digits on the closed-form
+    densities, made by data/make_entropy_reference.py."""
+    phi = default_bump()
+    with open(DATA / "entropy_reference.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 36
+    for row in rows:
+        P = builtin_model(row["model"])
+        eps = make_plan(P, phi, float(row["delta"]), int(row["n"])).eps
+        # the oracle integrated at these very floats
+        assert (repr(P.threshold), repr(eps)) == (row["a"], row["eps"]), row
+        h = relative_entropy(P, perturb(P, phi, eps))
+        assert abs(h / float(row["H"]) - 1.0) <= 5e-9, row
 
 
 def test_entropy_nonnegative_on_builtin_pairs(models):

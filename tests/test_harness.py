@@ -482,6 +482,20 @@ def test_certificate_sweep_reports_smallest_passing_n_in_any_order():
     assert n0 == 10 ** 3
 
 
+def test_certificate_sweep_rejects_a_repeated_n():
+    P = builtin_model("canonical")
+    with pytest.raises(ValueError, match=r"^repeated n 1000$"):
+        certificate_sweep(P, 0.05, n_list=(10 ** 3, 10 ** 4, 10 ** 3))
+
+
+def test_cli_certificate_rejects_a_repeated_n(capsys):
+    # as rates does: one error line, exit 2, and no row printed twice
+    assert cli.main(["certificate", "--n-list", "1000,1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: repeated n 1000\n"
+    assert captured.out == ""
+
+
 # --- config file --------------------------------------------------------------------
 
 

@@ -1,13 +1,16 @@
 """No module in src/ or tests/ imports a name it never uses, no module
-in src/ imports a process pool, and src/'s threshlab imports are layered.
+in src/ imports a process pool, none in src/ or tests/ imports mpmath or
+scipy, and src/'s threshlab imports are layered.
 
 A small stdlib `ast` check in place of a linter: a name bound by an import
 counts as used when it appears as a bare name anywhere in its module, or as
 a string in the module's `__all__` (a re-export).  `rate_sweep` forks its
 extra shares itself, so `multiprocessing` and `concurrent` are imported
-nowhere in src/, not even inside a function.  A threshlab module imports
-other threshlab modules only at module level, and those imports form no
-cycle, so no module reaches up to one that imports it.
+nowhere in src/, not even inside a function.  The tests run with numpy,
+pytest and hypothesis alone, so neither they nor src/ import mpmath or
+scipy; an oracle made with them is committed as data.  A threshlab module
+imports other threshlab modules only at module level, and those imports
+form no cycle, so no module reaches up to one that imports it.
 """
 
 import ast
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/threshlab/*.py"))
 FILES = sorted([*SRC, *ROOT.glob("tests/*.py")])
 POOL_PACKAGES = ("multiprocessing", "concurrent")
+ORACLE_PACKAGES = ("mpmath", "scipy")
 
 
 def unused_imports(source: str) -> list:
@@ -60,8 +64,8 @@ def test_checker_sees_unused_and_used_names():
     assert unused_imports(source) == [(2, "os"), (5, "tau")]
 
 
-def pool_imports(source: str) -> list:
-    """(line, module) of each import of a POOL_PACKAGES module, at any depth."""
+def package_imports(source: str, packages: tuple) -> list:
+    """(line, module) of each import of a module of `packages`, at any depth."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -71,12 +75,19 @@ def pool_imports(source: str) -> list:
         else:
             continue
         found += [(node.lineno, module) for module in modules
-                  if module.split(".")[0] in POOL_PACKAGES]
+                  if module.split(".")[0] in packages]
     return sorted(found)
 
 
 def test_src_imports_no_process_pool():
-    found = {path.name: pool_imports(path.read_text()) for path in SRC}
+    found = {path.name: package_imports(path.read_text(), POOL_PACKAGES)
+             for path in SRC}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_no_module_imports_mpmath_or_scipy():
+    found = {path.name: package_imports(path.read_text(), ORACLE_PACKAGES)
+             for path in FILES}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -90,8 +101,17 @@ def test_pool_checker_sees_imports_in_function_bodies():
         "        from concurrent.futures import ProcessPoolExecutor\n"
         "    import concurrent\n"
     )
-    assert pool_imports(source) == [(1, "multiprocessing.pool"),
-                                    (6, "concurrent.futures"), (7, "concurrent")]
+    assert package_imports(source, POOL_PACKAGES) == [
+        (1, "multiprocessing.pool"), (6, "concurrent.futures"), (7, "concurrent")]
+    oracles = (
+        "import mpmath as mp, numpy\n"
+        "from scipy.integrate import quad\n"
+        "from .mpmath import mpf\n"
+        "def f():\n"
+        "    import scipy\n"
+    )
+    assert package_imports(oracles, ORACLE_PACKAGES) == [
+        (1, "mpmath"), (2, "scipy.integrate"), (5, "scipy")]
 
 
 def threshlab_imports(source: str) -> list:

@@ -8,7 +8,7 @@ import pytest
 
 from threshlab.divergence import QuadratureSpec, adaptive_simpson
 from threshlab.errors import EpsTooLarge, NegativeDensity, PremiseFails, SupportEscapes
-from threshlab.expr import CosSquaredProfile
+from threshlab.expr import BumpComposite, CosSquaredProfile
 from threshlab.model import DensityPair, builtin_models
 from threshlab.perturbation import (
     build_certificate,
@@ -66,6 +66,22 @@ def test_cos_squared_profile_invariants(r):
     q, _ = adaptive_simpson(lambda t: phi.val(t) ** 2, -r, r,
                             QuadratureSpec(tol=1e-13))
     assert abs(phi.l2sq - q) <= 1e-11 * r
+
+
+NOT_POSITIVE_FINITE = pytest.mark.parametrize(
+    "value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+
+
+@NOT_POSITIVE_FINITE
+def test_profile_rejects_a_radius_that_is_not_positive_and_finite(value):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        CosSquaredProfile(radius=value)
+
+
+@NOT_POSITIVE_FINITE
+def test_bump_rejects_an_eps_that_is_not_positive_and_finite(value, bump):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        BumpComposite(bump, 0.5, eps=value)
 
 
 # --- make_plan --------------------------------------------------------------------
